@@ -1,5 +1,6 @@
-# check runs the full CI pipeline: vet, build, race-enabled tests, and
-# the observability disabled-path overhead benchmark.
+# check runs the full CI pipeline: vet, build, race-enabled tests, the
+# suite at -cpu 1,2, the observability disabled-path overhead benchmark
+# and the end-to-end smoke tests.
 check:
 	sh ci.sh
 
@@ -18,11 +19,9 @@ bench-parallel:
 # bench-serve regenerates BENCH_serve.json: the same matrices served
 # one request at a time vs through /v1/predict/batch, gated so the
 # batch path never regresses below sequential serving (and must beat it
-# 2x on hosts with >= 4 CPUs), plus the cascade-on/off columns — the
-# cheap-first stage's hit rate, mix agreement, calibrated threshold,
-# and p50 on above-threshold traffic (agreement gate always enforced;
-# the 2x latency gate only on hosts with >= 4 CPUs) — and the
-# feature-memo on/off columns (repeat-body p50 and hit rate).
+# 2x on hosts with >= 4 CPUs), plus the feature-memo on/off columns
+# (repeat-body p50 and hit rate; memoized answers must equal computed
+# ones).
 bench-serve:
 	go run ./cmd/spmvselect benchserve -out BENCH_serve.json
 

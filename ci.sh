@@ -3,7 +3,9 @@
 #
 # Usage: ./ci.sh [bench]
 #
-#   (no argument)  vet + build + race-enabled tests + the race-free
+#   (no argument)  vet + build + race-enabled tests + the suite again
+#                  at -cpu 1,2 (so assertions that only arm with more
+#                  than one worker always run) + the race-free
 #                  allocation guards (pooled parse scratch, feature-memo
 #                  hits) + the obs disabled-path overhead benchmark + a
 #                  benchparse differential smoke (the byte-slice
@@ -19,11 +21,10 @@
 #                  traffic with /v1/feedback outcome reports, capture
 #                  replay reproducing every recorded prediction, and a
 #                  populated /v1/admin/quality window; and the
-#                  cheap-first cascade: a `train -cascade` artifact
-#                  served with stage metrics on /metrics, cascade
-#                  stats in /v1/admin/quality, feature-memo hit/miss
-#                  counters matching the request mix, and a capture
-#                  replayed with zero mismatches) + a fleet smoke test
+#                  feature memo: hit/miss/entry counters matching the
+#                  request mix, the /v1/admin/quality report shape,
+#                  and a capture replayed with zero mismatches) + a
+#                  fleet smoke test
 #                  (three replicas behind the consistent-hash proxy:
 #                  one replica SIGKILLed under load with zero
 #                  client-visible errors, admin fan-out aggregation,
@@ -51,10 +52,9 @@
 #                  reader's allocations, and on any CSR difference),
 #                  BENCH_serve.json from `spmvselect benchserve`
 #                  (batched vs single-request serving plus the
-#                  cascade-on/off and feature-memo on/off
-#                  comparisons: calibrated agreement is always
-#                  enforced, the p50 wins only on hosts with
-#                  enough cores),
+#                  feature-memo on/off comparison: memoized answers
+#                  must equal computed ones, the speed gates are
+#                  strict only on hosts with enough cores),
 #                  BENCH_replay.json from `spmvselect benchreplay`
 #                  (record/feedback/replay cycle; hard-fails when a
 #                  replayed prediction differs from the recording),
@@ -75,6 +75,9 @@ go build ./...
 
 echo '== go test -race ./...'
 go test -race ./...
+
+echo '== go test -cpu 1,2 ./...'
+go test -cpu 1,2 ./...
 
 echo '== allocation guards (AllocsPerRun needs a race-free binary)'
 go test -run Allocs -count=1 ./internal/sparse ./internal/serve
@@ -182,7 +185,7 @@ fi
 echo '== replay smoke test (record, feedback, replay; race-enabled server)'
 go build -race -o "$SMOKE/spmvselect.race" ./cmd/spmvselect
 "$SMOKE/spmvselect.race" serve -models "turing=$SMOKE/model.gob" -admin-token "$ADMIN_TOKEN" \
-	-addr 127.0.0.1:0 -portfile "$SMOKE/port3" -cache -1 \
+	-addr 127.0.0.1:0 -portfile "$SMOKE/port3" \
 	-record "$SMOKE/capture" -access-log "$SMOKE/access3.log" -access-log-sample 4 &
 SERVE_PID=$!
 i=0
@@ -240,59 +243,42 @@ PREDICT_LINES=$(grep -c '"endpoint":"/v1/predict/matrix"' "$SMOKE/access3.log" |
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || { echo 'ci: recording serve did not exit cleanly on SIGTERM'; exit 1; }
 
-echo '== cascade smoke test (cheap-first artifact, stage metrics, capture replay)'
-"$SMOKE/spmvselect" train -save "$SMOKE/cascade.gob" -quick -clusters 16 \
-	-cascade -cascade-target-agreement 0.85 >/dev/null
-"$SMOKE/spmvselect" serve -models "turing=$SMOKE/cascade.gob" -admin-token "$ADMIN_TOKEN" \
-	-addr 127.0.0.1:0 -portfile "$SMOKE/port4" -cache -1 -record "$SMOKE/capture2" &
+echo '== feature-memo smoke test (memo counters, quality report shape, capture replay)'
+"$SMOKE/spmvselect" serve -models "turing=$SMOKE/model.gob" -admin-token "$ADMIN_TOKEN" \
+	-addr 127.0.0.1:0 -portfile "$SMOKE/port4" -record "$SMOKE/capture2" &
 SERVE_PID=$!
 i=0
 while [ ! -s "$SMOKE/port4" ] && [ $i -lt 100 ]; do sleep 0.1; i=$((i+1)); done
-[ -s "$SMOKE/port4" ] || { echo 'ci: cascade serve never wrote its portfile'; exit 1; }
+[ -s "$SMOKE/port4" ] || { echo 'ci: memo serve never wrote its portfile'; exit 1; }
 ADDR=$(cat "$SMOKE/port4")
 i=0
 until "$SMOKE/spmvselect" request -addr "$ADDR" -get /readyz >/dev/null 2>&1; do
 	sleep 0.1; i=$((i+1))
-	[ $i -lt 100 ] || { echo 'ci: cascade serve never became ready'; exit 1; }
+	[ $i -lt 100 ] || { echo 'ci: memo serve never became ready'; exit 1; }
 done
-# The artifact advertises its calibration, and every computed answer
-# names the stage that produced it.
-OUT=$("$SMOKE/spmvselect" request -addr "$ADDR" -get /v1/model)
-echo "$OUT" | grep -q '"cascade":true' || { echo "ci: /v1/model does not advertise the cascade: $OUT"; exit 1; }
 OUT=$("$SMOKE/spmvselect" request -addr "$ADDR" -mtx "$MTX")
-echo "$OUT" | grep -q '"stage":"' || { echo "ci: cascade prediction carries no stage: $OUT"; exit 1; }
+echo "$OUT" | grep -q '"cached":false' || { echo "ci: first request for a body answered from the memo: $OUT"; exit 1; }
 "$SMOKE/spmvselect" request -addr "$ADDR" -mtx "$MTX2" >/dev/null
-"$SMOKE/spmvselect" request -addr "$ADDR" -mtx "$MTX" >/dev/null
-METRICS=$("$SMOKE/spmvselect" request -addr "$ADDR" -get /metrics)
-echo "$METRICS" | grep -q '^spmvselect_serve_cascade_hits_total' \
-	|| { echo 'ci: /metrics lacks the cascade hit counter'; exit 1; }
-echo "$METRICS" | grep -q '^spmvselect_serve_cascade_fallthroughs_total' \
-	|| { echo 'ci: /metrics lacks the cascade fallthrough counter'; exit 1; }
-echo "$METRICS" | grep -q 'spmvselect_serve_cascade_confidence' \
-	|| { echo 'ci: /metrics lacks the cascade confidence histogram'; exit 1; }
+OUT=$("$SMOKE/spmvselect" request -addr "$ADDR" -mtx "$MTX")
+echo "$OUT" | grep -q '"cached":true' || { echo "ci: repeat body not answered from the memo: $OUT"; exit 1; }
 # The feature memo fronted those 3 requests: MTX, MTX2, MTX is two
 # distinct bodies, so exactly one repeat hit, two misses, and two
 # resident entries.
+METRICS=$("$SMOKE/spmvselect" request -addr "$ADDR" -get /metrics)
 MHITS=$(echo "$METRICS" | sed -n 's/^spmvselect_serve_featmemo_hits_total \([0-9]*\)$/\1/p')
 MMISSES=$(echo "$METRICS" | sed -n 's/^spmvselect_serve_featmemo_misses_total \([0-9]*\)$/\1/p')
 [ "$MHITS" = 1 ] || { echo "ci: featmemo hits = $MHITS after one repeat body, want 1"; exit 1; }
 [ "$MMISSES" = 2 ] || { echo "ci: featmemo misses = $MMISSES over two distinct bodies, want 2"; exit 1; }
 echo "$METRICS" | grep -q '^spmvselect_serve_featmemo_entries 2$' \
 	|| { echo 'ci: featmemo entries gauge does not show 2 resident bodies'; exit 1; }
-# The stage tallies (hits + fallthroughs) must cover the 3 computed
-# predictions, and the quality report must carry the hit rate.
-HITS=$(echo "$METRICS" | sed -n 's/^spmvselect_serve_cascade_hits_total \([0-9]*\)$/\1/p')
-FALLS=$(echo "$METRICS" | sed -n 's/^spmvselect_serve_cascade_fallthroughs_total \([0-9]*\)$/\1/p')
-[ "$((HITS + FALLS))" -eq 3 ] || { echo "ci: cascade tallies $HITS+$FALLS, want 3"; exit 1; }
 QUALITY=$("$SMOKE/spmvselect" request -addr "$ADDR" -get /v1/admin/quality -token "$ADMIN_TOKEN")
-echo "$QUALITY" | grep -q '"cascade"' || { echo "ci: quality report lacks cascade stats: $QUALITY"; exit 1; }
-echo "$QUALITY" | grep -q '"window_size"' || { echo "ci: cascade graft broke the quality report shape: $QUALITY"; exit 1; }
-# Replaying the capture against the cascade artifact must reproduce
-# every recorded answer (mismatches == 0; replay exits non-zero else).
+echo "$QUALITY" | grep -q '"window_size"' || { echo "ci: quality report lost its shape: $QUALITY"; exit 1; }
+# Replaying the capture must reproduce every recorded answer
+# (mismatches == 0; replay exits non-zero else).
 "$SMOKE/spmvselect" replay -dir "$SMOKE/capture2" -addr "$ADDR" \
-	|| { echo 'ci: replay against the cascade artifact diverged from the recording'; exit 1; }
+	|| { echo 'ci: replay against the memo-fronted server diverged from the recording'; exit 1; }
 kill -TERM "$SERVE_PID"
-wait "$SERVE_PID" || { echo 'ci: cascade serve did not exit cleanly on SIGTERM'; exit 1; }
+wait "$SERVE_PID" || { echo 'ci: memo serve did not exit cleanly on SIGTERM'; exit 1; }
 
 echo '== fleet smoke test (3 replicas + proxy, kill-one under load, fleet rollout)'
 # Three registry-backed replicas of the same model behind the proxy.

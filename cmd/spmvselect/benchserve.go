@@ -4,14 +4,11 @@ package main
 // predicted one HTTP request at a time versus grouped into
 // /v1/predict/batch requests, against a real loopback listener so
 // per-request overhead (connection handling, routing, body copies) is
-// part of what batching has to amortise — plus a cascade-on vs
-// cascade-off single-predict comparison of the same model with and
-// without the cheap-first stage, and a feature-memo on/off comparison
-// on repeat bodies. The result is committed as BENCH_serve.json and
-// gated so CI catches the batch path regressing below plain sequential
-// serving, the cascade threshold missing its calibrated agreement
-// target, the cheap path losing its latency advantage on
-// above-threshold traffic, or the memo losing its repeat-body win.
+// part of what batching has to amortise — plus a feature-memo on/off
+// comparison on repeat bodies. The result is committed as
+// BENCH_serve.json and gated so CI catches the batch path regressing
+// below plain sequential serving, or the memo losing its repeat-body
+// win.
 
 import (
 	"bytes"
@@ -27,7 +24,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/features"
 	"repro/internal/serve"
 	"repro/internal/sparse"
 )
@@ -82,26 +78,6 @@ type serveBench struct {
 	// per-prediction.
 	SingleLatency latencyQuantiles `json:"single_latency"`
 	BatchLatency  latencyQuantiles `json:"batch_latency"`
-	// Cascade-on vs cascade-off single-predict comparison: the same
-	// request mix served by the same model with and without the
-	// cheap-first stage (per-body best-of-rounds latencies).
-	CascadeSeconds float64          `json:"cascade_seconds"`
-	CascadeRPS     float64          `json:"cascade_rps"`
-	CascadeLatency latencyQuantiles `json:"cascade_latency"`
-	// CascadeHitRate is the cheap-stage answer fraction on the bench
-	// mix; CascadeMixAgreement the cascade-on/off format agreement on
-	// the full mix; the Heldout/Target pair is the train-time
-	// calibration the agreement gate enforces.
-	CascadeHitRate          float64 `json:"cascade_hit_rate"`
-	CascadeMixAgreement     float64 `json:"cascade_mix_agreement"`
-	CascadeHeldoutAgreement float64 `json:"cascade_heldout_agreement"`
-	CascadeTargetAgreement  float64 `json:"cascade_target_agreement"`
-	CascadeThreshold        float64 `json:"cascade_threshold"`
-	// P50s over the above-threshold subset (requests the cheap stage
-	// answered), the traffic the cascade is supposed to accelerate.
-	CascadeP50OffMs      float64 `json:"cascade_p50_off_ms"`
-	CascadeP50OnMs       float64 `json:"cascade_p50_on_ms"`
-	CascadeSpeedupAboveT float64 `json:"cascade_speedup_above_threshold"`
 	// Feature-memo on vs off: the same model and mix with the
 	// body-hash→features memo enabled, every timed request a repeat
 	// body (the off column is the memo-disabled baseline above).
@@ -122,10 +98,6 @@ func cmdBenchServe(args []string) error {
 	out := fs.String("out", "BENCH_serve.json", "output JSON path")
 	minSpeedup := fs.Float64("min-speedup", 0,
 		"fail below this batch/single throughput ratio; 0 picks 2.0 when the host has >= 4 CPUs and 0.80 otherwise")
-	cascadeTarget := fs.Float64("cascade-target-agreement", 0.90,
-		"agreement target the cascade threshold is calibrated to")
-	cascadeMinSpeedup := fs.Float64("cascade-min-speedup", 0,
-		"fail below this cascade-on/off p50 ratio on above-threshold traffic; 0 picks 2.0 when the host has >= 4 CPUs and 0.80 otherwise")
 	memoMinSpeedup := fs.Float64("memo-min-speedup", 0,
 		"fail below this memo-on/off p50 ratio on repeat bodies; 0 picks 1.2 when the host has >= 4 CPUs and 0.80 otherwise")
 	if err := fs.Parse(args); err != nil {
@@ -174,9 +146,9 @@ func cmdBenchServe(args []string) error {
 		batchBodies = append(batchBodies, bytes.Join(bodies[lo:hi], nil))
 	}
 
-	// Cache and feature memo disabled: round two onward must recompute —
-	// parse, extract, infer — not replay either cache.
-	srv, err := serve.NewServer(art, serve.Config{CacheSize: -1, FeatMemoSize: -1, MaxBatchItems: *count})
+	// Feature memo disabled: round two onward must recompute — parse,
+	// extract, infer — not replay memoized features.
+	srv, err := serve.NewServer(art, serve.Config{FeatMemoSize: -1, MaxBatchItems: *count})
 	if err != nil {
 		return err
 	}
@@ -277,38 +249,12 @@ func cmdBenchServe(args []string) error {
 		return fmt.Errorf("benchserve: batch pass: %w", err)
 	}
 
-	// Cascade comparison: the same semisup model with a distilled
-	// cheap-first stage, on its own listener, against the same mix.
-	casc, err := serve.TrainCascade(art, features.Matrix(features.ExtractAll(ms)),
-		serve.CascadeOptions{TargetAgreement: *cascadeTarget, Seed: 1})
-	if err != nil {
-		return fmt.Errorf("benchserve: %w", err)
-	}
-	if casc.Threshold > 1 {
-		return fmt.Errorf("benchserve: cascade calibration could not reach target agreement %.2f", *cascadeTarget)
-	}
-	cart := *art
-	cart.Cascade = casc
-	csrv, err := serve.NewServer(&cart, serve.Config{CacheSize: -1, FeatMemoSize: -1, MaxBatchItems: *count})
-	if err != nil {
-		return err
-	}
-	cln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	cserver := &http.Server{Handler: csrv.Handler()}
-	go cserver.Serve(cln)
-	defer cserver.Close()
-	cbase := "http://" + cln.Addr().String()
-
 	// measure serves every body -rounds times against one base URL and
 	// keeps the per-body minimum latency (scheduler noise only ever adds
-	// time), plus the answered format and cascade stage.
-	measure := func(base string) (lat []time.Duration, formats, stages []string, err error) {
+	// time), plus the answered format.
+	measure := func(base string) (lat []time.Duration, formats []string, err error) {
 		lat = make([]time.Duration, len(bodies))
 		formats = make([]string, len(bodies))
-		stages = make([]string, len(bodies))
 		one := func(i int, record bool) error {
 			start := time.Now()
 			resp, err := client.Post(base+"/v1/predict/matrix", "text/plain", bytes.NewReader(bodies[i]))
@@ -318,7 +264,6 @@ func cmdBenchServe(args []string) error {
 			defer resp.Body.Close()
 			var ans struct {
 				Format string `json:"format"`
-				Stage  string `json:"stage"`
 				Msg    string `json:"error"`
 			}
 			if err := json.NewDecoder(resp.Body).Decode(&ans); err != nil {
@@ -332,40 +277,35 @@ func cmdBenchServe(args []string) error {
 				if lat[i] == 0 || d < lat[i] {
 					lat[i] = d
 				}
-				formats[i], stages[i] = ans.Format, ans.Stage
+				formats[i] = ans.Format
 			}
 			return nil
 		}
 		for i := range bodies { // warmup
 			if err := one(i, false); err != nil {
-				return nil, nil, nil, err
+				return nil, nil, err
 			}
 		}
 		for r := 0; r < *rounds; r++ {
 			for i := range bodies {
 				if err := one(i, true); err != nil {
-					return nil, nil, nil, err
+					return nil, nil, err
 				}
 			}
 		}
-		return lat, formats, stages, nil
+		return lat, formats, nil
 	}
-	fmt.Fprintf(os.Stderr, "benchserve: cascade threshold %.3f (held-out agreement %.3f), comparing on/off...\n",
-		casc.Threshold, casc.HeldoutAgreement)
-	offLat, offFmt, _, err := measure(base)
+	fmt.Fprintln(os.Stderr, "benchserve: memo-off pass...")
+	offLat, offFmt, err := measure(base)
 	if err != nil {
-		return fmt.Errorf("benchserve: cascade-off pass: %w", err)
-	}
-	onLat, onFmt, onStage, err := measure(cbase)
-	if err != nil {
-		return fmt.Errorf("benchserve: cascade-on pass: %w", err)
+		return fmt.Errorf("benchserve: memo-off pass: %w", err)
 	}
 
 	// Feature-memo comparison: the same artifact with the body-hash
 	// memo enabled, on its own listener. measure's warmup pass populates
 	// the memo (one miss per body), so every timed request afterwards is
 	// a repeat — exactly the traffic the memo fronts.
-	msrv, err := serve.NewServer(art, serve.Config{CacheSize: -1, MaxBatchItems: *count})
+	msrv, err := serve.NewServer(art, serve.Config{MaxBatchItems: *count})
 	if err != nil {
 		return err
 	}
@@ -378,7 +318,7 @@ func cmdBenchServe(args []string) error {
 	defer mserver.Close()
 	mhits0, mmisses0 := msrv.FeatMemoStats()
 	fmt.Fprintln(os.Stderr, "benchserve: memo-on pass...")
-	memoLat, memoFmt, _, err := measure("http://" + mln.Addr().String())
+	memoLat, memoFmt, err := measure("http://" + mln.Addr().String())
 	if err != nil {
 		return fmt.Errorf("benchserve: memo-on pass: %w", err)
 	}
@@ -393,21 +333,6 @@ func cmdBenchServe(args []string) error {
 				i, memoFmt[i], offFmt[i])
 		}
 	}
-	var aboveOn, aboveOff []time.Duration
-	var cascadeSum time.Duration
-	agree, hits := 0, 0
-	for i := range bodies {
-		cascadeSum += onLat[i]
-		if onFmt[i] == offFmt[i] {
-			agree++
-		}
-		if onStage[i] == serve.StageCheap {
-			hits++
-			aboveOn = append(aboveOn, onLat[i])
-			aboveOff = append(aboveOff, offLat[i])
-		}
-	}
-
 	total := float64(*count)
 	res := serveBench{
 		CPUs:          runtime.NumCPU(),
@@ -422,22 +347,6 @@ func cmdBenchServe(args []string) error {
 		Speedup:       singleDur.Seconds() / batchDur.Seconds(),
 		SingleLatency: quantiles(singleLat),
 		BatchLatency:  quantiles(batchLat),
-
-		CascadeSeconds:          cascadeSum.Seconds(),
-		CascadeRPS:              total / cascadeSum.Seconds(),
-		CascadeLatency:          quantiles(onLat),
-		CascadeHitRate:          float64(hits) / total,
-		CascadeMixAgreement:     float64(agree) / total,
-		CascadeHeldoutAgreement: casc.HeldoutAgreement,
-		CascadeTargetAgreement:  casc.TargetAgreement,
-		CascadeThreshold:        casc.Threshold,
-	}
-	if hits > 0 {
-		res.CascadeP50OffMs = quantiles(aboveOff).P50Ms
-		res.CascadeP50OnMs = quantiles(aboveOn).P50Ms
-		if res.CascadeP50OnMs > 0 {
-			res.CascadeSpeedupAboveT = res.CascadeP50OffMs / res.CascadeP50OnMs
-		}
 	}
 	res.MemoP50OffMs = quantiles(offLat).P50Ms
 	res.MemoP50OnMs = quantiles(memoLat).P50Ms
@@ -475,35 +384,6 @@ func cmdBenchServe(args []string) error {
 	}
 	if res.Speedup < gate {
 		return fmt.Errorf("benchserve: batch speedup %.2fx below the %.2fx gate", res.Speedup, gate)
-	}
-
-	fmt.Printf("benchserve: cascade hit rate %.2f, mix agreement %.2f, p50 %.2fms off vs %.2fms on above threshold (%.2fx)\n",
-		res.CascadeHitRate, res.CascadeMixAgreement, res.CascadeP50OffMs, res.CascadeP50OnMs, res.CascadeSpeedupAboveT)
-	// The agreement gate is machine-independent: the calibrated
-	// threshold must actually deliver the target on held-out data.
-	if res.CascadeHeldoutAgreement < res.CascadeTargetAgreement {
-		return fmt.Errorf("benchserve: cascade held-out agreement %.3f below target %.2f",
-			res.CascadeHeldoutAgreement, res.CascadeTargetAgreement)
-	}
-	if hits == 0 {
-		return fmt.Errorf("benchserve: cascade cheap stage never fired on the bench mix")
-	}
-	cgate := *cascadeMinSpeedup
-	if cgate == 0 {
-		if res.CPUs >= 4 {
-			// Skipping full extraction + PCA + cluster lookup should at
-			// least halve p50 on confident traffic when the host isn't
-			// starved for cores.
-			cgate = 2.0
-		} else {
-			// On a small box HTTP + parse overhead dominates both paths;
-			// only guard against the cascade being pathologically slower.
-			cgate = 0.80
-		}
-	}
-	if res.CascadeSpeedupAboveT < cgate {
-		return fmt.Errorf("benchserve: cascade p50 speedup %.2fx below the %.2fx gate on above-threshold traffic",
-			res.CascadeSpeedupAboveT, cgate)
 	}
 
 	fmt.Printf("benchserve: feature memo hit rate %.2f, p50 %.2fms off vs %.2fms on repeat bodies (%.2fx)\n",

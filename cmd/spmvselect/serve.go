@@ -85,9 +85,6 @@ func cmdTrain(args []string) error {
 	clusters := fs.Int("clusters", 200, "number of K-Means clusters (semisup)")
 	seed := fs.Int64("seed", 1, "training seed")
 	quick := fs.Bool("quick", false, "train on the reduced corpus")
-	cascade := fs.Bool("cascade", false, "distil a cheap-first cascade stage onto the artifact")
-	cascadeTarget := fs.Float64("cascade-target-agreement", 0.95, "agreement with the full model the cascade threshold must reach on held-out data")
-	cascadeModel := fs.String("cascade-model", "logreg", `cascade classifier: "logreg" or "forest"`)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -127,24 +124,6 @@ func cmdTrain(args []string) error {
 	// The training distribution travels with the model so the registry
 	// can monitor served traffic for drift against it.
 	art.Baseline = serve.ComputeBaseline(x, y, sparse.NumKernelFormats)
-	if *cascade {
-		c, err := serve.TrainCascade(art, x, serve.CascadeOptions{
-			Model:           *cascadeModel,
-			TargetAgreement: *cascadeTarget,
-			Seed:            *seed,
-		})
-		if err != nil {
-			return fmt.Errorf("train: %w", err)
-		}
-		art.Cascade = c
-		if c.Threshold > 1 {
-			fmt.Fprintf(os.Stderr, "cascade: target agreement %.2f unattainable on %d held-out rows; stage disabled\n",
-				c.TargetAgreement, c.HeldoutSize)
-		} else {
-			fmt.Fprintf(os.Stderr, "cascade: threshold %.3f, held-out agreement %.3f (target %.2f), hit rate %.3f\n",
-				c.Threshold, c.HeldoutAgreement, c.TargetAgreement, c.HeldoutHitRate)
-		}
-	}
 	if err := serve.SaveFile(*save, art); err != nil {
 		return err
 	}
@@ -188,8 +167,7 @@ func cmdServe(args []string) error {
 	portFile := fs.String("portfile", "", "write the bound address to this file once listening")
 	maxConc := fs.Int("max-concurrent", 0, "bound on in-flight predictions (0 = one per CPU)")
 	maxBatch := fs.Int("max-batch", 0, "max matrices per /v1/predict/batch request (0 = 64)")
-	cacheSize := fs.Int("cache", 512, "prediction LRU capacity in entries (negative disables)")
-	featMemo := fs.Int("feat-memo", 0, "feature-vector memo capacity in entries (0 = 4096, negative disables); survives model swaps, unlike -cache")
+	featMemo := fs.Int("feat-memo", 0, "feature-vector memo capacity in entries (0 = 4096, negative disables); survives model swaps")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request timeout, queueing included")
 	obsAddr := fs.String("obs", "", "serve expvar+pprof (with the serve/* metrics) on this address too")
 	accessLog := fs.String("access-log", "", `write one JSON access-log line per request here ("-" for stderr)`)
@@ -273,7 +251,6 @@ func cmdServe(args []string) error {
 
 	srv, err := serve.NewBackendServer(reg, serve.Config{
 		MaxConcurrent:   *maxConc,
-		CacheSize:       *cacheSize,
 		FeatMemoSize:    *featMemo,
 		Timeout:         *timeout,
 		MaxBatchItems:   *maxBatch,
@@ -291,10 +268,6 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Every swap — reload, promote, whatever the path — must drop the
-	// prediction cache; entries keyed by the old artifact hash are
-	// unreachable anyway, but there is no reason to keep them warm.
-	reg.OnSwap(srv.FlushCache)
 
 	if *obsAddr != "" {
 		bound, stopObs, err := obs.Serve(*obsAddr)
@@ -540,8 +513,7 @@ func doRequestFull(method, addr, path, contentType, token, requestID string, bod
 
 // cmdPromote flips an arch's shadow candidate to live through the
 // admin API of a running serve instance: the candidate artifact starts
-// answering that arch's requests, the prediction cache is flushed, and
-// the shadow pairing is cleared.
+// answering that arch's requests and the shadow pairing is cleared.
 func cmdPromote(args []string) error {
 	fs := flag.NewFlagSet("promote", flag.ExitOnError)
 	addr := fs.String("addr", "", "server address host:port (required)")

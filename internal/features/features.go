@@ -59,41 +59,6 @@ const (
 // feature (rows processed by one warp in the scalar CSR kernel).
 const warpSize = 32
 
-// CheapCount is the number of cheap features: the O(rows) subset that
-// needs neither the column indices (DIA pass) nor the row-length
-// histogram (HYB pass). These are the structural features the cascade's
-// first stage classifies on.
-const CheapCount = 8
-
-// CheapIndices lists the Vector indices of the cheap features, in the
-// order ExtractCheap emits them.
-var CheapIndices = [CheapCount]int{
-	NRows, NCols, NNZ, NNZFrac, NNZMu, NNZMin, NNZMax, NNZSig,
-}
-
-// CheapVector holds the cheap-feature values in CheapIndices order.
-type CheapVector [CheapCount]float64
-
-// Slice returns the cheap vector as a fresh []float64.
-func (v CheapVector) Slice() []float64 {
-	s := make([]float64, CheapCount)
-	copy(s, v[:])
-	return s
-}
-
-// CheapSlice gathers the cheap features out of a full feature row
-// (Vector order). Extraction clamps both paths identically, so for any
-// matrix CheapSlice(Extract(m).Slice()) == ExtractCheap(m).Slice().
-func CheapSlice(full []float64) []float64 {
-	out := make([]float64, CheapCount)
-	for i, idx := range CheapIndices {
-		if idx < len(full) {
-			out[i] = full[idx]
-		}
-	}
-	return out
-}
-
 // slab computes an a×b storage-size feature in float64. The operands are
 // matrix dimensions and widths, so an int product can silently overflow
 // negative on adversarial inputs (rows ~ 2^32 × width ~ 2^31); promoting
@@ -107,8 +72,6 @@ func slab(a, b int) float64 {
 var (
 	extractCalls   = obs.Default.Counter("features/extractions")
 	extractSeconds = obs.Default.Histogram("features/extract/seconds", obs.DurationBuckets)
-	cheapCalls     = obs.Default.Counter("features/extractions_cheap")
-	cheapSeconds   = obs.Default.Histogram("features/extract_cheap/seconds", obs.DurationBuckets)
 )
 
 // Scratch holds the reusable working buffers of the feature pass: the
@@ -298,66 +261,6 @@ func (s *Scratch) Extract(m *sparse.CSR) Vector {
 		f[DiaFrac] = float64(nnz) / f[DiaSize]
 	}
 
-	return f
-}
-
-// ExtractCheap computes the cheap-feature subset for a matrix.
-func ExtractCheap(m *sparse.CSR) CheapVector {
-	var s Scratch
-	return s.ExtractCheap(m)
-}
-
-// ExtractCheap computes the cheap-feature subset: two O(rows) passes
-// over the row-pointer array, no histogram, no column-index walk, no
-// scratch allocations. The values are bit-identical to the matching
-// entries of a full Extract, including the degenerate-matrix clamps, so
-// a cascade stage trained on gathered full vectors sees exactly the
-// distribution this produces at serve time.
-func (s *Scratch) ExtractCheap(m *sparse.CSR) CheapVector {
-	start := obs.Now()
-	defer func() {
-		if !start.IsZero() {
-			cheapCalls.Inc()
-			cheapSeconds.Observe(time.Since(start).Seconds())
-		}
-	}()
-	var f CheapVector
-	rows, cols := m.Dims()
-	nnz := m.NNZ()
-	f[0] = float64(rows)
-	f[1] = float64(cols)
-	f[2] = float64(nnz)
-	if rows > 0 && cols > 0 {
-		f[3] = float64(nnz) / (float64(rows) * float64(cols))
-	}
-	minRow, maxRow := 0, 0
-	if rows > 0 {
-		minRow = math.MaxInt64
-	}
-	for i := 0; i < rows; i++ {
-		n := m.RowNNZ(i)
-		if n < minRow {
-			minRow = n
-		}
-		if n > maxRow {
-			maxRow = n
-		}
-	}
-	var mu float64
-	if rows > 0 {
-		mu = float64(nnz) / float64(rows)
-	}
-	f[4] = mu
-	f[5] = float64(minRow)
-	f[6] = float64(maxRow)
-	var sq float64
-	for i := 0; i < rows; i++ {
-		d := float64(m.RowNNZ(i)) - mu
-		sq += d * d
-	}
-	if rows > 0 {
-		f[7] = math.Sqrt(sq / float64(rows))
-	}
 	return f
 }
 

@@ -363,12 +363,6 @@ func TestExtractDegenerateMatrices(t *testing.T) {
 					t.Errorf("%s = %v, want 0 with nnz=0", Names[idx], f[idx])
 				}
 			}
-			c := ExtractCheap(tc.m)
-			for i, v := range c {
-				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-					t.Errorf("cheap[%d] = %v, want finite and non-negative", i, v)
-				}
-			}
 		})
 	}
 }
@@ -422,42 +416,5 @@ func TestSlabAdversarialDimensions(t *testing.T) {
 	a, b := 1<<32, 1<<31
 	if p := a * b; p >= 0 {
 		t.Skipf("int product unexpectedly non-negative (%d)", p)
-	}
-}
-
-// TestExtractCheapMatchesFull checks bit-identity between the cheap
-// pass and the matching entries of a full extraction across random
-// shapes — the property that lets a cascade stage train on gathered
-// full vectors and serve on ExtractCheap output.
-func TestExtractCheapMatchesFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	var s Scratch
-	check := func(name string, m *sparse.CSR) {
-		t.Helper()
-		full := s.Extract(m).Slice()
-		cheap := s.ExtractCheap(m)
-		gathered := CheapSlice(full)
-		for i := range cheap {
-			if cheap[i] != gathered[i] {
-				t.Fatalf("%s: cheap[%d] (%s) = %v, full has %v",
-					name, i, Names[CheapIndices[i]], cheap[i], gathered[i])
-			}
-		}
-		if got := cheap.Slice(); len(got) != CheapCount {
-			t.Fatalf("CheapVector.Slice length %d", len(got))
-		}
-	}
-	check("degenerate", &sparse.CSR{})
-	check("empty", emptyCSR(t, 4, 9))
-	for trial := 0; trial < 50; trial++ {
-		rows := 1 + rng.Intn(150)
-		cols := 1 + rng.Intn(150)
-		tr := sparse.NewTriplet(rows, cols)
-		for n := 0; n < 1+rng.Intn(rows*4); n++ {
-			if err := tr.Add(rng.Intn(rows), rng.Intn(cols), 1+rng.Float64()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		check("random", tr.ToCSR())
 	}
 }

@@ -89,16 +89,22 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
-// Reset drops every instrument and vector. Intended for tests.
+// Reset zeroes every instrument in place, vector children included.
+// Intended for tests. Instruments stay registered, so the package-level
+// handles that hot paths cache from a registry keep counting into it
+// after a Reset instead of silently detaching.
 func (r *Registry) Reset() {
-	r.mu.Lock()
-	r.counters = map[string]*Counter{}
-	r.gauges = map[string]*Gauge{}
-	r.hists = map[string]*Histogram{}
-	r.cvecs = map[string]*CounterVec{}
-	r.gvecs = map[string]*GaugeVec{}
-	r.hvecs = map[string]*HistogramVec{}
-	r.mu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, c := range r.counters {
+		c.v.Store(0)
+	}
+	for _, g := range r.gauges {
+		g.bits.Store(0)
+	}
+	for _, h := range r.hists {
+		h.reset()
+	}
 }
 
 // Snapshot returns a consistent-enough copy of every instrument's state
@@ -189,6 +195,18 @@ func newHistogram(bounds []float64) *Histogram {
 	h.minBits.Store(math.Float64bits(math.Inf(1)))
 	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
 	return h
+}
+
+// reset returns the histogram to its empty state (Registry.Reset).
+func (h *Histogram) reset() {
+	for i := range h.counts {
+		h.counts[i].Store(0)
+		h.exemplars[i].Store(nil)
+	}
+	h.count.Store(0)
+	h.sumBits.Store(0)
+	h.minBits.Store(math.Float64bits(math.Inf(1)))
+	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
 }
 
 // Observe records one value.

@@ -162,7 +162,7 @@ func TestConcurrentRequestSpanIsolation(t *testing.T) {
 
 	const workers = 16
 	const perWorker = 50
-	stages := []string{"parse", "features", "cascade", "model"}
+	stages := []string{"parse", "features", "predict", "model"}
 
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)

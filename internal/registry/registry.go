@@ -71,7 +71,6 @@ type Registry struct {
 	// artifacts (fed by /v1/feedback); qualityOpts tunes it.
 	quality     map[string]*qualityState
 	qualityOpts QualityOptions
-	onSwap      []func()
 
 	swaps      *obs.Counter
 	reloads    *obs.Counter
@@ -222,24 +221,6 @@ func (r *Registry) SetDefault(arch string) error {
 	return nil
 }
 
-// OnSwap registers fn to run after every swap (reload that changed
-// something, or promotion). The serve layer hooks its cache flush here.
-func (r *Registry) OnSwap(fn func()) {
-	r.mu.Lock()
-	r.onSwap = append(r.onSwap, fn)
-	r.mu.Unlock()
-}
-
-// fireSwapHooks runs the registered hooks outside the registry lock.
-func (r *Registry) fireSwapHooks() {
-	r.mu.RLock()
-	hooks := append([]func(){}, r.onSwap...)
-	r.mu.RUnlock()
-	for _, fn := range hooks {
-		fn()
-	}
-}
-
 // LoadAll loads every configured live and shadow artifact from disk.
 // It is Reload without the idempotence short-cut mattering (nothing is
 // loaded yet); any failure is returned (joined) and leaves the failed
@@ -353,7 +334,6 @@ func (r *Registry) Reload() (changed []string, err error) {
 
 	if len(changed) > 0 {
 		r.swaps.Add(int64(len(changed)))
-		r.fireSwapHooks()
 	}
 	return changed, errors.Join(errs...)
 }
@@ -424,7 +404,6 @@ func (r *Registry) Promote(arch string) (string, error) {
 
 	r.promotes.Inc()
 	r.swaps.Inc()
-	r.fireSwapHooks()
 	return hash, nil
 }
 

@@ -9,7 +9,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -18,7 +17,6 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/features"
-	"repro/internal/obs"
 	"repro/internal/preprocess"
 	"repro/internal/semisup"
 	"repro/internal/sparse"
@@ -35,10 +33,10 @@ const (
 )
 
 // ArtifactVersion is the current wire version written by Save. Load
-// accepts any version up to this one. Version 2 added the optional
-// cheap-first Cascade stage; version-1 artifacts decode with a nil
-// Cascade (gob tolerates the absent field both ways) and serve through
-// the full path.
+// accepts any version up to this one. Version 2 once added an optional
+// cheap-first classifier stage; gob skips that field when a v2 artifact
+// carrying it is decoded, so such an artifact loads and answers from
+// its full model, exactly like a version-1 artifact.
 const ArtifactVersion = 2
 
 // artifactMagic prefixes every saved artifact, so mistaking an
@@ -71,11 +69,6 @@ type Artifact struct {
 	// tolerates the absent field both ways, so the wire version is
 	// unchanged); such artifacts opt out of drift monitoring.
 	Baseline *Baseline
-	// Cascade is the optional cheap-first stage (wire version 2): a tiny
-	// classifier over the O(rows) features plus a confidence threshold
-	// calibrated on held-out data at train time. Nil (every v1 artifact)
-	// means every prediction takes the full path.
-	Cascade *Cascade
 }
 
 // artifactEnvelope is what Save gob-encodes after the magic string. The
@@ -181,11 +174,6 @@ func (a *Artifact) Validate() error {
 			return err
 		}
 	}
-	if a.Cascade != nil {
-		if err := a.Cascade.Validate(len(a.Formats)); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -198,17 +186,6 @@ func (a *Artifact) InDim() int {
 	return a.Pipeline.InDim()
 }
 
-// Prediction stages, reported when the artifact carries a cascade.
-const (
-	// StageCheap marks an answer from the cascade's cheap-feature
-	// classifier (confident at or above the calibrated threshold).
-	StageCheap = "cheap"
-	// StageFull marks an answer from the full pipeline, either because
-	// the artifact has no cascade (Stage is then empty) or because the
-	// cheap stage's confidence fell below the threshold.
-	StageFull = "full"
-)
-
 // Prediction is one answer from the artifact.
 type Prediction struct {
 	// Format is the recommended storage format name.
@@ -219,52 +196,13 @@ type Prediction struct {
 	// (Cluster is -1 for classifier artifacts).
 	Cluster     int `json:"cluster"`
 	ClusterSize int `json:"cluster_size,omitempty"`
-	// Stage and Confidence explain a cascade artifact's answer: which
-	// stage produced it and the cheap stage's top-class probability.
-	// Both are zero for artifacts without a cascade.
-	Stage      string  `json:"stage,omitempty"`
-	Confidence float64 `json:"confidence,omitempty"`
 }
 
 // Predict maps a raw Table 1 feature vector to a format, validating the
 // input dimension — the artifact's single entry point for untrusted
-// vectors. When the artifact carries a cascade the cheap columns are
-// gathered out of x and tried first; the full model only runs below the
-// confidence threshold, and the final answer is whichever stage fired.
+// vectors: dimension check, preprocessing chain (or semisup cluster
+// lookup), model.
 func (a *Artifact) Predict(x []float64) (Prediction, error) {
-	c := a.Cascade
-	if c == nil {
-		return a.predictFull(x)
-	}
-	cheap, ok := c.gather(x)
-	if !ok {
-		return a.predictFull(x)
-	}
-	label, conf, err := c.decide(cheap)
-	if err != nil {
-		return Prediction{}, err
-	}
-	if conf >= c.Threshold && label >= 0 && label < len(a.Formats) {
-		return Prediction{
-			Format:     a.Formats[label],
-			Label:      label,
-			Cluster:    -1,
-			Stage:      StageCheap,
-			Confidence: conf,
-		}, nil
-	}
-	pred, err := a.predictFull(x)
-	if err != nil {
-		return Prediction{}, err
-	}
-	pred.Stage = StageFull
-	pred.Confidence = conf
-	return pred, nil
-}
-
-// predictFull runs the full pipeline: dimension check, preprocessing
-// chain (or semisup cluster lookup), model.
-func (a *Artifact) predictFull(x []float64) (Prediction, error) {
 	var label, clusterID, clusterSize int
 	clusterID = -1
 	switch a.Kind {
@@ -295,79 +233,9 @@ func (a *Artifact) predictFull(x []float64) (Prediction, error) {
 	}, nil
 }
 
-// PredictMatrix extracts the features of a matrix and predicts. With a
-// cascade artifact the full 21-feature extraction only happens when the
-// cheap stage is not confident.
+// PredictMatrix extracts the features of a matrix and predicts.
 func (a *Artifact) PredictMatrix(m *sparse.CSR) (Prediction, error) {
-	var s features.Scratch
-	pred, _, err := a.PredictMatrixScratch(m, &s)
-	return pred, err
-}
-
-// PredictMatrixScratch is the serve hot path's entry point: it extracts
-// only the cheap features first when the artifact carries a cascade,
-// paying for full extraction solely on fall-through. The returned
-// vector is the full 21-feature row when it was computed, nil when the
-// cheap stage answered (callers that need the full vector anyway —
-// shadow scoring — extract it themselves).
-func (a *Artifact) PredictMatrixScratch(m *sparse.CSR, s *features.Scratch) (Prediction, []float64, error) {
-	return a.PredictMatrixScratchCtx(context.Background(), m, s)
-}
-
-// PredictMatrixScratchCtx is PredictMatrixScratch under a request
-// context: each stage (cheap extraction, cascade decision, full
-// extraction, model predict) becomes a child span of the request's
-// span tree, so per-request traces show exactly where matrix time
-// went. With no span in ctx and observability disabled, the spans cost
-// one context lookup each.
-func (a *Artifact) PredictMatrixScratchCtx(ctx context.Context, m *sparse.CSR, s *features.Scratch) (Prediction, []float64, error) {
-	c := a.Cascade
-	if c == nil || !c.usesCheapOrder() {
-		// No cascade (or one trained on a foreign feature ordering):
-		// extract everything and let Predict route.
-		_, fsp := obs.StartChild(ctx, "features/full")
-		vec := s.Extract(m).Slice()
-		fsp.End()
-		_, psp := obs.StartChild(ctx, "predict")
-		pred, err := a.Predict(vec)
-		psp.End()
-		return pred, vec, err
-	}
-	_, csp := obs.StartChild(ctx, "features/cheap")
-	cheap := s.ExtractCheap(m)
-	csp.End()
-	_, dsp := obs.StartChild(ctx, "cascade")
-	label, conf, err := c.decide(cheap[:])
-	dsp.SetMetric("confidence", conf)
-	if err != nil {
-		dsp.End()
-		return Prediction{}, nil, err
-	}
-	if conf >= c.Threshold && label >= 0 && label < len(a.Formats) {
-		dsp.SetMetric("hit", 1)
-		dsp.End()
-		return Prediction{
-			Format:     a.Formats[label],
-			Label:      label,
-			Cluster:    -1,
-			Stage:      StageCheap,
-			Confidence: conf,
-		}, nil, nil
-	}
-	dsp.SetMetric("hit", 0)
-	dsp.End()
-	_, fsp := obs.StartChild(ctx, "features/full")
-	vec := s.Extract(m).Slice()
-	fsp.End()
-	_, psp := obs.StartChild(ctx, "predict")
-	pred, err := a.predictFull(vec)
-	psp.End()
-	if err != nil {
-		return Prediction{}, nil, err
-	}
-	pred.Stage = StageFull
-	pred.Confidence = conf
-	return pred, vec, nil
+	return a.Predict(features.Extract(m).Slice())
 }
 
 // Save writes the artifact: the magic prefix, then the gob-encoded

@@ -28,8 +28,8 @@ var (
 )
 
 // LiveModel is one resolved model: the artifact plus the identity the
-// server stamps on every response (resolved arch and content hash) and
-// uses in cache keys, so answers stay attributable across hot-swaps.
+// server stamps on every response (resolved arch and content hash), so
+// answers stay attributable across hot-swaps.
 type LiveModel struct {
 	// Arch is the resolved (normalized) architecture key.
 	Arch string
@@ -80,8 +80,8 @@ type Backend interface {
 // artifact's training baseline.
 type DriftBackend interface {
 	// RecordServed feeds one served prediction into the monitor. vec is
-	// the raw feature vector, or nil when the request was answered
-	// without parsing the body (a cache hit).
+	// the raw feature vector, extracted or memoized; a nil vec advances
+	// only the predicted-format stream.
 	RecordServed(arch string, p Prediction, vec []float64)
 	// DriftReport returns the JSON-serialisable drift report and
 	// refreshes any derived gauges.
@@ -154,7 +154,7 @@ type ShadowInstaller interface {
 }
 
 // HashBytes is the content-hash identity used across the serving stack
-// (artifact hashes, cache keys): a truncated hex SHA-256, short enough
+// (artifact hashes): a truncated hex SHA-256, short enough
 // to read in transcripts, long enough that collisions are not a
 // practical concern.
 func HashBytes(b []byte) string {

@@ -130,13 +130,30 @@ func mmBytes(t *testing.T, m *sparse.CSR) []byte {
 	return buf.Bytes()
 }
 
-// TestCacheKeyIncludesModelHash is the regression test for the
-// stale-cache bug: a cached answer for one model version must be
-// unreachable after the backend swaps to a different artifact, even
-// when nobody flushed the cache.
-func TestCacheKeyIncludesModelHash(t *testing.T) {
+// disagreeing returns a corpus matrix on which two artifacts answer
+// different formats, so a test can tell which model produced an answer.
+func disagreeing(t *testing.T, a, b *Artifact, ms []*sparse.CSR) (*sparse.CSR, Prediction, Prediction) {
+	t.Helper()
+	for _, m := range ms {
+		pa, pb := a.MustPredict(t, m), b.MustPredict(t, m)
+		if pa.Format != pb.Format {
+			return m, pa, pb
+		}
+	}
+	t.Fatal("the two artifacts agree on every corpus matrix")
+	return nil, Prediction{}, Prediction{}
+}
+
+// TestMemoHitAfterSwapAnswersFromNewModel is the regression test for
+// the stale-answer-after-swap bug: once the backend swaps artifacts,
+// the very next answer for a repeated body must carry the new model
+// hash and the new model's format, even though the body's features
+// come from the memo filled under the old model.
+func TestMemoHitAfterSwapAnswersFromNewModel(t *testing.T) {
 	ms, best := labelledCorpus(t, "Turing")
 	artA := trainArtifact(t, ms, best, 10, 7)
+	artB := trainArtifact(t, ms, best, 6, 99)
+	m, wantA, wantB := disagreeing(t, artA, artB, ms)
 	fb := newFakeBackend("turing")
 	fb.set("turing", artA, "hash-a")
 	srv, err := NewBackendServer(fb, Config{})
@@ -144,41 +161,32 @@ func TestCacheKeyIncludesModelHash(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := srv.Handler()
-	mm := mmBytes(t, ms[0])
+	mm := mmBytes(t, m)
 
 	rec, out := postJSON(t, h, "/v1/predict/matrix", mm)
-	if rec.Code != http.StatusOK || out["cached"] != false {
-		t.Fatalf("first request: %d %v", rec.Code, out)
+	if rec.Code != http.StatusOK || out["cached"] != false || out["format"] != wantA.Format {
+		t.Fatalf("first request: %d %v, want computed %s", rec.Code, out, wantA.Format)
 	}
 	rec, out = postJSON(t, h, "/v1/predict/matrix", mm)
-	if rec.Code != http.StatusOK || out["cached"] != true || out["model_hash"] != "hash-a" {
-		t.Fatalf("repeat request: %d %v, want cached hash-a", rec.Code, out)
+	if rec.Code != http.StatusOK || out["cached"] != true || out["model_hash"] != "hash-a" || out["format"] != wantA.Format {
+		t.Fatalf("repeat request: %d %v, want memo hit answered by hash-a (%s)", rec.Code, out, wantA.Format)
 	}
 
-	// Hot-swap WITHOUT flushing: the hash in the key must force a miss.
-	artB := trainArtifact(t, ms, best, 6, 99)
+	// Hot-swap with nothing flushed: the memoized features feed the new
+	// model.
 	fb.set("turing", artB, "hash-b")
 	rec, out = postJSON(t, h, "/v1/predict/matrix", mm)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("post-swap request: %d %v", rec.Code, out)
 	}
-	if out["cached"] != false || out["model_hash"] != "hash-b" {
-		t.Fatalf("post-swap request served stale cache: %v", out)
-	}
-
-	// And the flush hook empties the cache outright.
-	if srv.cache.Len() == 0 {
-		t.Fatal("expected cached entries before flush")
-	}
-	srv.FlushCache()
-	if got := srv.cache.Len(); got != 0 {
-		t.Fatalf("cache has %d entries after FlushCache", got)
+	if out["cached"] != true || out["model_hash"] != "hash-b" || out["format"] != wantB.Format {
+		t.Fatalf("post-swap request = %v, want memo hit answered by hash-b (%s)", out, wantB.Format)
 	}
 }
 
 // TestBatchEndpoint covers the happy path, per-item errors, positional
-// answers, cache interplay with the single endpoint, and the batch
-// size bound.
+// answers, feature-memo interplay with the single endpoint, and the
+// batch size bound.
 func TestBatchEndpoint(t *testing.T) {
 	srv, art, m, mm := testServer(t, Config{MaxBatchItems: 3})
 	h := srv.Handler()
@@ -210,10 +218,10 @@ func TestBatchEndpoint(t *testing.T) {
 		t.Errorf("batch response missing identity: %+v", resp)
 	}
 
-	// A single request for the same matrix hits the batch-populated cache.
+	// A single request for the same matrix hits the batch-populated memo.
 	rec, out := postJSON(t, h, "/v1/predict/matrix", mm)
 	if rec.Code != http.StatusOK || out["cached"] != true {
-		t.Errorf("single request after batch: %d %v, want cache hit", rec.Code, out)
+		t.Errorf("single request after batch: %d %v, want memo hit", rec.Code, out)
 	}
 
 	// The text form: concatenated MatrixMarket files split on their
@@ -344,8 +352,9 @@ func TestReadyz(t *testing.T) {
 }
 
 // TestShadowScoringBypassesCache: with a candidate registered, every
-// request is computed (no cache hits) and every request records one
-// live-vs-candidate comparison.
+// request records one live-vs-candidate comparison. Repeats take their
+// features from the memo, but no answer is ever served from a cache,
+// so shadow scoring never skips a request.
 func TestShadowScoringBypassesCache(t *testing.T) {
 	ms, best := labelledCorpus(t, "Turing")
 	fb := newFakeBackend("turing")
@@ -360,8 +369,8 @@ func TestShadowScoringBypassesCache(t *testing.T) {
 
 	for i := 0; i < 3; i++ {
 		rec, out := postJSON(t, h, "/v1/predict/matrix", mm)
-		if rec.Code != http.StatusOK || out["cached"] != false {
-			t.Fatalf("shadowed request %d: %d %v, want uncached", i, rec.Code, out)
+		if rec.Code != http.StatusOK || out["cached"] != (i > 0) {
+			t.Fatalf("shadowed request %d: %d %v, want memo hit iff repeat", i, rec.Code, out)
 		}
 	}
 	if got := len(fb.records); got != 3 {
@@ -441,24 +450,32 @@ func TestAdminAuth(t *testing.T) {
 }
 
 // TestAdminEndpointsWithBackend drives reload/promote/shadow against
-// the fake admin backend and checks the cache flushes on mutation.
+// the fake admin backend, and checks that the first answer after a
+// promotion comes from the promoted model.
 func TestAdminEndpointsWithBackend(t *testing.T) {
 	ms, best := labelledCorpus(t, "Turing")
+	live := trainArtifact(t, ms, best, 10, 7)
+	cand := trainArtifact(t, ms, best, 6, 99)
+	m, wantLive, wantCand := disagreeing(t, live, cand, ms)
 	fb := newFakeBackend("turing")
-	fb.set("turing", trainArtifact(t, ms, best, 10, 7), "hash-live")
-	fb.setShadow("turing", trainArtifact(t, ms, best, 6, 99), "hash-cand")
+	fb.set("turing", live, "hash-live")
+	fb.setShadow("turing", cand, "hash-cand")
 	srv, err := NewBackendServer(fb, Config{AdminToken: "s3cret"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := srv.Handler()
 
-	// Populate the cache with a non-shadowed arch... turing is
-	// shadowed, so use the features endpoint pre-promote? Shadowed
-	// arches bypass the cache; promote first clears the shadow.
 	rec := adminReq(t, h, http.MethodGet, "/v1/admin/shadow", "s3cret")
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "fake") {
 		t.Fatalf("shadow report: %d %s", rec.Code, rec.Body.String())
+	}
+
+	// Serve the body once under the live model, filling the memo.
+	mm := mmBytes(t, m)
+	recP, out := postJSON(t, h, "/v1/predict/matrix", mm)
+	if recP.Code != http.StatusOK || out["model_hash"] != "hash-live" || out["format"] != wantLive.Format {
+		t.Fatalf("pre-promote predict: %d %v, want hash-live (%s)", recP.Code, out, wantLive.Format)
 	}
 
 	rec = adminReq(t, h, http.MethodPost, "/v1/admin/promote?arch=turing", "s3cret")
@@ -472,35 +489,23 @@ func TestAdminEndpointsWithBackend(t *testing.T) {
 	if pr.Arch != "turing" || pr.Hash != "hash-cand" {
 		t.Fatalf("promote response = %+v", pr)
 	}
-	// The promoted candidate now answers with its hash.
-	mm := mmBytes(t, ms[0])
-	recP, out := postJSON(t, h, "/v1/predict/matrix", mm)
-	if recP.Code != http.StatusOK || out["model_hash"] != "hash-cand" {
-		t.Fatalf("post-promote predict: %d %v", recP.Code, out)
+	// The first answer after the promotion is a memo hit, answered by
+	// the promoted candidate with its own format.
+	recP, out = postJSON(t, h, "/v1/predict/matrix", mm)
+	if recP.Code != http.StatusOK || out["cached"] != true || out["model_hash"] != "hash-cand" || out["format"] != wantCand.Format {
+		t.Fatalf("post-promote predict: %d %v, want memo hit answered by hash-cand (%s)", recP.Code, out, wantCand.Format)
 	}
-	// Cache now live (no shadow); fill it, then reload-with-changes must flush.
-	if _, out = postJSON(t, h, "/v1/predict/matrix", mm); out["cached"] != true {
-		t.Fatalf("expected cache hit, got %v", out)
-	}
+
+	// Reload reports what the backend swapped, and is idempotent.
 	fb.reloadCh = []string{"turing"}
 	rec = adminReq(t, h, http.MethodPost, "/v1/admin/reload", "s3cret")
-	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"turing"`) {
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"changed":["turing"]`) {
 		t.Fatalf("reload: %d %s", rec.Code, rec.Body.String())
-	}
-	if got := srv.cache.Len(); got != 0 {
-		t.Fatalf("cache has %d entries after a reload that swapped", got)
-	}
-	// A no-op reload leaves the cache alone.
-	if _, out = postJSON(t, h, "/v1/predict/matrix", mm); out["cached"] != false {
-		t.Fatalf("expected miss after flush, got %v", out)
 	}
 	fb.reloadCh = nil
 	rec = adminReq(t, h, http.MethodPost, "/v1/admin/reload", "s3cret")
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"changed":[]`) {
 		t.Fatalf("idempotent reload: %d %s", rec.Code, rec.Body.String())
-	}
-	if got := srv.cache.Len(); got != 1 {
-		t.Fatalf("no-op reload flushed the cache (len %d)", got)
 	}
 	// Promoting again fails: no candidate left.
 	rec = adminReq(t, h, http.MethodPost, "/v1/admin/promote?arch=turing", "s3cret")

@@ -9,30 +9,19 @@ import (
 
 // The feature-vector memo fronts the serve hot path's parse + extract
 // work: feature vectors depend only on the request body, never on the
-// model, so they are keyed by body content hash alone and — unlike the
-// prediction LRU — survive hot-swaps, promotions and arch routing. A
-// repeat matrix therefore skips MatrixMarket parsing and feature
-// extraction entirely even right after a reload, when the prediction
-// cache is cold.
+// model, so they are keyed by body content hash alone and survive
+// hot-swaps, promotions and arch routing. A repeat matrix therefore
+// skips MatrixMarket parsing and feature extraction entirely, and the
+// live model predicts from the memoized vector — so every answer comes
+// from the model serving at that moment.
 //
-// Invalidation rules: there are none. An entry can only ever be
-// superseded by a richer one for the same key (cheap-only upgraded to
-// the full 21-feature vector); it is never flushed on model swap,
-// because the mapping body→features is immutable. Capacity pressure is
-// the only evictor (LRU).
-
-// featEntry memoizes the extracted features of one request body. full
-// is the 21-feature vector when the full path computed it; cheap is the
-// O(rows) cheap-feature row when only the cascade's stage ran. Exactly
-// one of the two is non-nil.
-type featEntry struct {
-	full  []float64
-	cheap []float64
-}
+// Invalidation rules: there are none. The mapping body→features is
+// immutable, so an entry is never flushed on model swap. Capacity
+// pressure is the only evictor (LRU).
 
 // featMemo is a goroutine-safe fixed-capacity LRU from body content
-// hash to extracted features, instrumented with resident-entry and
-// approximate-footprint gauges.
+// hash to the extracted 21-feature vector, instrumented with
+// resident-entry and approximate-footprint gauges.
 type featMemo struct {
 	mu    sync.Mutex
 	cap   int
@@ -46,13 +35,13 @@ type featMemo struct {
 
 type featMemoEntry struct {
 	key string
-	val featEntry
+	val []float64
 }
 
 // featEntrySize approximates one entry's heap footprint: key bytes,
-// vector payloads, and fixed list/map overhead.
-func featEntrySize(key string, e featEntry) int64 {
-	return int64(len(key) + 8*(len(e.full)+len(e.cheap)) + 96)
+// vector payload, and fixed list/map overhead.
+func featEntrySize(key string, vec []float64) int64 {
+	return int64(len(key) + 8*len(vec) + 96)
 }
 
 // newFeatMemo returns a memo holding up to capacity entries; a
@@ -72,40 +61,35 @@ func newFeatMemo(capacity int) *featMemo {
 // path can skip key derivation when it is configured off.
 func (c *featMemo) Enabled() bool { return c != nil && c.cap > 0 }
 
-// Get returns the memoized features for key, marking it most recent.
-func (c *featMemo) Get(key string) (featEntry, bool) {
+// Get returns the memoized feature vector for key, marking it most
+// recent. Callers must not modify the returned slice: concurrent hits
+// share it.
+func (c *featMemo) Get(key string) ([]float64, bool) {
 	if !c.Enabled() {
-		return featEntry{}, false
+		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return featEntry{}, false
+		return nil, false
 	}
 	c.ll.MoveToFront(el)
 	return el.Value.(*featMemoEntry).val, true
 }
 
-// Put stores features for key, evicting the least recently used entry
-// when full. Puts only ever upgrade: a full vector replaces a
-// cheap-only entry, but a cheap-only row never downgrades an entry that
-// already holds the full vector (both were derived from the same body,
-// so the richer one stays).
-func (c *featMemo) Put(key string, val featEntry) {
+// Put stores the feature vector for key, evicting the least recently
+// used entry when full. The memo keeps val, so the caller must not
+// modify it afterwards. A key already present keeps its vector: both
+// were extracted from the same body.
+func (c *featMemo) Put(key string, val []float64) {
 	if !c.Enabled() {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		cur := el.Value.(*featMemoEntry)
-		if cur.val.full == nil && val.full != nil {
-			c.bytes += featEntrySize(key, val) - featEntrySize(key, cur.val)
-			cur.val = val
-		}
 		c.ll.MoveToFront(el)
-		c.export()
 		return
 	}
 	c.items[key] = c.ll.PushFront(&featMemoEntry{key: key, val: val})

@@ -1,10 +1,10 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"net/http"
+	"sync"
 	"testing"
 
 	"repro/internal/features"
@@ -18,47 +18,21 @@ func TestFeatMemoLRUSemantics(t *testing.T) {
 		t.Fatal("capacity-2 memo reports disabled")
 	}
 	full := []float64{1, 2, 3}
-	cheap := []float64{9}
+	other := []float64{9}
 
-	c.Put("a", featEntry{cheap: cheap})
-	e, ok := c.Get("a")
-	if !ok || e.cheap == nil || e.full != nil {
-		t.Fatalf("cheap entry = %+v ok=%v", e, ok)
+	c.Put("a", full)
+	v, ok := c.Get("a")
+	if !ok || len(v) != len(full) {
+		t.Fatalf("entry a = %v ok=%v", v, ok)
 	}
 	before := c.Bytes()
-
-	// Cheap-only entries upgrade to full…
-	c.Put("a", featEntry{full: full})
-	if e, _ = c.Get("a"); e.full == nil {
-		t.Fatal("cheap entry did not upgrade to full")
+	// A repeat put for a resident key keeps its vector and footprint.
+	c.Put("a", other)
+	if v, _ = c.Get("a"); len(v) != len(full) {
+		t.Fatalf("repeat put replaced entry a with %v", v)
 	}
-	if c.Bytes() <= before {
-		t.Errorf("footprint did not grow on upgrade: %d -> %d", before, c.Bytes())
-	}
-	// …but never downgrade back.
-	c.Put("a", featEntry{cheap: cheap})
-	if e, _ = c.Get("a"); e.full == nil {
-		t.Fatal("full entry downgraded to cheap")
-	}
-
-	// LRU eviction at capacity: touch "a", insert "b" then "c"; "b" is
-	// the stalest and must go.
-	c.Put("b", featEntry{full: full})
-	if _, ok = c.Get("a"); !ok {
-		t.Fatal("entry a missing")
-	}
-	c.Put("c", featEntry{full: full})
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
-	}
-	if _, ok = c.Get("b"); ok {
-		t.Fatal("LRU entry b survived eviction")
-	}
-	if _, ok = c.Get("a"); !ok {
-		t.Fatal("recently used entry a was evicted")
-	}
-	if c.Bytes() <= 0 {
-		t.Errorf("Bytes = %d after two resident entries", c.Bytes())
+	if c.Bytes() != before {
+		t.Errorf("footprint changed on a repeat put: %d -> %d", before, c.Bytes())
 	}
 
 	// Non-positive capacity disables; nil is safe.
@@ -66,7 +40,7 @@ func TestFeatMemoLRUSemantics(t *testing.T) {
 	if d.Enabled() {
 		t.Fatal("capacity-0 memo reports enabled")
 	}
-	d.Put("x", featEntry{full: full})
+	d.Put("x", full)
 	if _, ok = d.Get("x"); ok {
 		t.Fatal("disabled memo stored an entry")
 	}
@@ -76,20 +50,45 @@ func TestFeatMemoLRUSemantics(t *testing.T) {
 	}
 }
 
-// TestFeatMemoServesRepeatMatrix is the memo's core contract: with the
-// prediction cache disabled, a repeat body is answered without parsing
-// or extraction (the hit counter moves), with exactly the prediction
-// the computed path produced — and the memo survives FlushCache, the
-// hook every hot-swap and promotion fires.
+// TestLRUCacheEviction: at capacity the feature memo — the serving
+// path's one cache — evicts its least recently used entry.
+func TestLRUCacheEviction(t *testing.T) {
+	c := newFeatMemo(2)
+	vec := []float64{1, 2, 3}
+	// Touch "a" after inserting "b"; inserting "c" must then evict "b".
+	c.Put("a", vec)
+	c.Put("b", vec)
+	if _, ok := c.Get("a"); !ok {
+		t.Fatal("entry a missing")
+	}
+	c.Put("c", vec)
+	if c.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", c.Len())
+	}
+	if _, ok := c.Get("b"); ok {
+		t.Fatal("LRU entry b survived eviction")
+	}
+	if _, ok := c.Get("a"); !ok {
+		t.Fatal("recently used entry a was evicted")
+	}
+	if want := 2 * featEntrySize("a", vec); c.Bytes() != want {
+		t.Errorf("Bytes = %d after two resident entries, want %d", c.Bytes(), want)
+	}
+}
+
+// TestFeatMemoServesRepeatMatrix is the memo's core contract: a repeat
+// body is answered without parsing or extraction (the hit counter
+// moves, the answer reports cached), with exactly the prediction the
+// computed path produced, and the memo holds the full feature vector.
 func TestFeatMemoServesRepeatMatrix(t *testing.T) {
-	srv, art, m, mm := testServer(t, Config{CacheSize: -1})
+	srv, art, m, mm := testServer(t, Config{})
 	h := srv.Handler()
 	want := art.MustPredict(t, m)
 
 	hits0, misses0 := srv.memoHits.Value(), srv.memoMisses.Value()
 	rec, out := postJSON(t, h, "/v1/predict/matrix", mm)
-	if rec.Code != http.StatusOK || out["format"] != want.Format {
-		t.Fatalf("first predict = %d %v, want %s", rec.Code, out, want.Format)
+	if rec.Code != http.StatusOK || out["format"] != want.Format || out["cached"] != false {
+		t.Fatalf("first predict = %d %v, want computed %s", rec.Code, out, want.Format)
 	}
 	if d := srv.memoMisses.Value() - misses0; d != 1 {
 		t.Fatalf("featmemo misses after first request = %d, want 1", d)
@@ -97,35 +96,76 @@ func TestFeatMemoServesRepeatMatrix(t *testing.T) {
 	if srv.featMemo.Len() != 1 {
 		t.Fatalf("memo entries = %d, want 1", srv.featMemo.Len())
 	}
+	if v, ok := srv.featMemo.Get(memoKeyOf(mm)); !ok || len(v) != features.Count {
+		t.Fatalf("memoized vector has %d features (ok=%v), want %d", len(v), ok, features.Count)
+	}
 
 	rec, out = postJSON(t, h, "/v1/predict/matrix", mm)
 	if rec.Code != http.StatusOK || out["format"] != want.Format {
 		t.Fatalf("repeat predict = %d %v, want %s", rec.Code, out, want.Format)
 	}
-	if out["cached"] != false {
-		t.Fatal("memo hit reported cached=true; it must count as a computed answer")
+	if out["cached"] != true {
+		t.Fatal("memo hit reported cached=false; cached means the features came from the memo")
 	}
 	if d := srv.memoHits.Value() - hits0; d != 1 {
 		t.Fatalf("featmemo hits after repeat = %d, want 1", d)
 	}
+}
 
-	// The swap/promote invalidation hook flushes predictions, never
-	// features.
-	srv.FlushCache()
-	if srv.featMemo.Len() != 1 {
-		t.Fatalf("FlushCache emptied the feature memo (%d entries left)", srv.featMemo.Len())
+// driftFake wraps fakeBackend with a drift monitor that records the
+// feature vector of every served answer.
+type driftFake struct {
+	*fakeBackend
+	mu   sync.Mutex
+	vecs [][]float64
+}
+
+func (d *driftFake) RecordServed(arch string, p Prediction, vec []float64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.vecs = append(d.vecs, vec)
+}
+
+func (d *driftFake) DriftReport() any { return nil }
+
+// TestFeatMemoHitFeedsDriftFullVector: a memo hit hands the drift
+// monitor the same full feature vector the parse path extracted, so
+// the feature windows advance on repeat bodies too.
+func TestFeatMemoHitFeedsDriftFullVector(t *testing.T) {
+	ms, best := labelledCorpus(t, "Turing")
+	db := &driftFake{fakeBackend: newFakeBackend("turing")}
+	db.set("turing", trainArtifact(t, ms, best, 10, 7), "hash-d")
+	srv, err := NewBackendServer(db, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	rec, out = postJSON(t, h, "/v1/predict/matrix", mm)
-	if rec.Code != http.StatusOK || out["format"] != want.Format {
-		t.Fatalf("post-flush predict = %d %v", rec.Code, out)
+	h := srv.Handler()
+	mm := mmBytes(t, ms[0])
+	for i := 0; i < 2; i++ {
+		if rec, out := postJSON(t, h, "/v1/predict/matrix", mm); rec.Code != http.StatusOK || out["cached"] != (i > 0) {
+			t.Fatalf("request %d: %d %v", i, rec.Code, out)
+		}
 	}
-	if d := srv.memoHits.Value() - hits0; d != 2 {
-		t.Fatalf("featmemo hits after flush = %d, want 2", d)
+	want := features.Extract(ms[0])
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if len(db.vecs) != 2 {
+		t.Fatalf("drift monitor saw %d answers, want 2", len(db.vecs))
+	}
+	for i, vec := range db.vecs {
+		if len(vec) != features.Count {
+			t.Fatalf("answer %d: drift monitor got %d features, want %d", i, len(vec), features.Count)
+		}
+		for k := range vec {
+			if vec[k] != want[k] {
+				t.Fatalf("answer %d: drift feature %s = %v, want %v", i, features.Names[k], vec[k], want[k])
+			}
+		}
 	}
 }
 
 func TestFeatMemoDisabledByConfig(t *testing.T) {
-	srv, _, _, mm := testServer(t, Config{CacheSize: -1, FeatMemoSize: -1})
+	srv, _, _, mm := testServer(t, Config{FeatMemoSize: -1})
 	h := srv.Handler()
 	hits0, misses0 := srv.memoHits.Value(), srv.memoMisses.Value()
 	for i := 0; i < 2; i++ {
@@ -147,95 +187,6 @@ func memoKeyOf(body []byte) string {
 	return string(sum[:16])
 }
 
-// TestFeatMemoCascadeEntries checks the memo's interaction with the
-// cheap-first cascade: a cheap-stage answer memoizes only the cheap
-// row, a fall-through memoizes the full vector, and repeats of either
-// are served from the memo with an identical prediction (same stage
-// included).
-func TestFeatMemoCascadeEntries(t *testing.T) {
-	art, ms := cascadeArtifact(t, 0.6)
-	srv, err := NewServer(art, Config{CacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := srv.Handler()
-
-	var scratch features.Scratch
-	var cheapM, fullM *sparse.CSR
-	for _, m := range ms {
-		pred, _, err := art.PredictMatrixScratch(m, &scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pred.Stage == StageCheap && cheapM == nil {
-			cheapM = m
-		}
-		if pred.Stage == StageFull && fullM == nil {
-			fullM = m
-		}
-	}
-
-	serve := func(m *sparse.CSR) (code int, out map[string]any, body []byte) {
-		var mm bytes.Buffer
-		if err := sparse.WriteMatrixMarket(&mm, m); err != nil {
-			t.Fatal(err)
-		}
-		rec, out := postJSON(t, h, "/v1/predict/matrix", mm.Bytes())
-		return rec.Code, out, mm.Bytes()
-	}
-
-	if cheapM != nil {
-		hits0 := srv.memoHits.Value()
-		code, first, body := serve(cheapM)
-		if code != http.StatusOK || first["stage"] != StageCheap {
-			t.Fatalf("cheap matrix served %d %v", code, first)
-		}
-		e, ok := srv.featMemo.Get(memoKeyOf(body))
-		if !ok || e.cheap == nil || e.full != nil {
-			t.Fatalf("cheap answer memoized %+v ok=%v, want cheap-only", e, ok)
-		}
-		code, again, _ := serve(cheapM)
-		if code != http.StatusOK {
-			t.Fatalf("cheap repeat: %d", code)
-		}
-		if again["format"] != first["format"] || again["stage"] != StageCheap {
-			t.Fatalf("cheap memo repeat %v differs from computed %v", again, first)
-		}
-		if srv.memoHits.Value() != hits0+1 {
-			t.Fatalf("cheap repeat did not hit the memo (hits %d -> %d)", hits0, srv.memoHits.Value())
-		}
-	} else {
-		t.Log("corpus produced no cheap-stage answer; skipping cheap-entry checks")
-	}
-
-	if fullM != nil {
-		hits0 := srv.memoHits.Value()
-		code, first, body := serve(fullM)
-		if code != http.StatusOK || first["stage"] != StageFull {
-			t.Fatalf("fall-through matrix served %d %v", code, first)
-		}
-		e, ok := srv.featMemo.Get(memoKeyOf(body))
-		if !ok || e.full == nil {
-			t.Fatalf("fall-through answer memoized %+v ok=%v, want full vector", e, ok)
-		}
-		if len(e.full) != features.Count {
-			t.Fatalf("memoized vector has %d features, want %d", len(e.full), features.Count)
-		}
-		code, again, _ := serve(fullM)
-		if code != http.StatusOK {
-			t.Fatalf("fall-through repeat: %d", code)
-		}
-		if again["format"] != first["format"] || again["stage"] != StageFull {
-			t.Fatalf("full memo repeat %v differs from computed %v", again, first)
-		}
-		if srv.memoHits.Value() != hits0+1 {
-			t.Fatalf("full repeat did not hit the memo (hits %d -> %d)", hits0, srv.memoHits.Value())
-		}
-	} else {
-		t.Log("corpus produced no fall-through; skipping full-entry checks")
-	}
-}
-
 // TestPredictBodyMemoHitAllocs pins the allocation cost of a memo hit:
 // parsing and extraction (thousands of allocations for a real matrix)
 // must stay off this path. The bound leaves room for the key hashing,
@@ -244,7 +195,7 @@ func TestPredictBodyMemoHitAllocs(t *testing.T) {
 	if obs.RaceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	srv, _, _, mm := testServer(t, Config{CacheSize: -1})
+	srv, _, _, mm := testServer(t, Config{})
 	lm, err := srv.backend.Live("")
 	if err != nil {
 		t.Fatal(err)

@@ -295,29 +295,13 @@ func containsFormat(formats []string, f string) bool {
 	return false
 }
 
-// adminQuality is GET /v1/admin/quality: the measured-quality report,
-// plus the server's cascade tallies. 501 when the backend keeps no
-// quality windows (static servers).
+// adminQuality is GET /v1/admin/quality: the measured-quality report.
+// 501 when the backend keeps no quality windows (static servers).
 func (s *Server) adminQuality(w http.ResponseWriter, r *http.Request) {
 	if s.quality == nil {
 		writeJSON(w, http.StatusNotImplemented,
 			errorResponse{Error: "this backend keeps no quality windows; serve from the registry (-models)"})
 		return
 	}
-	report := s.quality.QualityReport()
-	// Graft the cascade stats onto the backend's report without
-	// changing its top-level shape — replay and the dashboards decode
-	// the window_size/arches keys directly.
-	raw, err := json.Marshal(report)
-	if err != nil {
-		writeJSON(w, http.StatusOK, report)
-		return
-	}
-	var merged map[string]any
-	if err := json.Unmarshal(raw, &merged); err != nil || merged == nil {
-		writeJSON(w, http.StatusOK, report)
-		return
-	}
-	merged["cascade"] = s.cascadeStats()
-	writeJSON(w, http.StatusOK, merged)
+	writeJSON(w, http.StatusOK, s.quality.QualityReport())
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,15 +27,11 @@ type Config struct {
 	// GOMAXPROCS — the same bound the repository's parallel helpers
 	// use, since prediction is CPU-bound.
 	MaxConcurrent int
-	// CacheSize is the content-hash LRU capacity in entries (default
-	// 512; negative disables caching).
-	CacheSize int
 	// FeatMemoSize is the feature-vector memo capacity in entries
 	// (default 4096; negative disables). The memo fronts MatrixMarket
 	// parsing and feature extraction: it is keyed by body content alone
 	// and — feature vectors being model-independent — survives
-	// hot-swaps, promotions and arch routing, unlike the prediction
-	// cache.
+	// hot-swaps, promotions and arch routing.
 	FeatMemoSize int
 	// Timeout bounds one request end to end, including time spent
 	// queueing for a concurrency slot (default 30s).
@@ -53,7 +48,7 @@ type Config struct {
 	AdminToken string
 	// AccessLog, when non-nil, receives one structured line per HTTP
 	// request (trace ID, method, path, status, latency, arch, model
-	// hash, cache disposition). Nil disables access logging.
+	// hash, feature-memo disposition). Nil disables access logging.
 	AccessLog *slog.Logger
 	// SLOObjective is the availability target the SLO windows report
 	// burn rates against (default 0.999).
@@ -95,9 +90,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = obs.Workers(runtime.GOMAXPROCS(0))
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 512
 	}
 	if c.FeatMemoSize == 0 {
 		c.FeatMemoSize = 4096
@@ -141,17 +133,15 @@ func (c Config) withDefaults() Config {
 //
 // Predictions route by the request's arch (query parameter, or body
 // field on the JSON endpoints); an empty arch selects the backend's
-// default. Requests are bounded-concurrency (CPU-bound inference),
-// cached by request content hash together with the live artifact hash
-// (so a hot-swap structurally invalidates old entries), and
-// instrumented in the obs.Default metrics registry:
+// default. Requests are bounded-concurrency (CPU-bound inference).
+// Every answer comes from the live model; a repeated matrix body skips
+// only parsing and feature extraction, through the feature memo keyed
+// by body content. Requests are instrumented in the obs.Default
+// metrics registry:
 //
 //	serve/requests            counter    requests accepted per endpoint path
 //	serve/errors              counter    requests answered with an error status
 //	serve/rejected            counter    requests shed (queue wait exceeded the timeout)
-//	serve/cache/hits          counter    predictions answered from the LRU
-//	serve/cache/misses        counter    predictions computed
-//	serve/cache/flushes       counter    whole-cache invalidations (swap/promote)
 //	serve/featmemo/hits       counter    matrix predictions answered from memoized features (parse + extract skipped)
 //	serve/featmemo/misses     counter    matrix predictions computed without a usable feature-memo entry
 //	serve/featmemo/entries    gauge      feature-memo entries resident
@@ -160,9 +150,6 @@ func (c Config) withDefaults() Config {
 //	serve/batch/items         counter    matrices received in batches
 //	serve/batch/item_errors   counter    batch items answered with a per-item error
 //	serve/shadow/errors       counter    shadow candidate predictions that failed
-//	serve/cascade/hits        counter    answers served by the cheap cascade stage
-//	serve/cascade/fallthroughs counter   cascade requests that paid the full path
-//	serve/cascade/confidence  histogram  cheap-stage top-class probability per computed answer
 //	serve/capture/records     counter    requests appended to the capture log
 //	serve/capture/errors      counter    capture appends that failed
 //	serve/feedback/accepted   counter    feedback reports joined to a prediction
@@ -190,7 +177,6 @@ type Server struct {
 	installer ShadowInstaller // nil when the backend cannot accept pushed candidates
 	cfg       Config
 	sem       chan struct{}
-	cache     *lruCache
 	featMemo  *featMemo
 	capture   *obs.CaptureWriter // nil unless recording traffic
 	pending   *pendingStore      // nil unless quality != nil
@@ -205,18 +191,12 @@ type Server struct {
 	requests     *obs.Counter
 	errors       *obs.Counter
 	rejected     *obs.Counter
-	cacheHits    *obs.Counter
-	cacheMisses  *obs.Counter
-	cacheFlushes *obs.Counter
 	memoHits     *obs.Counter
 	memoMisses   *obs.Counter
 	batchReqs    *obs.Counter
 	batchItems   *obs.Counter
 	batchErrors  *obs.Counter
 	shadowErrors *obs.Counter
-	cascadeHits  *obs.Counter
-	cascadeFalls *obs.Counter
-	cascadeConf  *obs.Histogram
 	adminReqs    *obs.Counter
 	adminDenied  *obs.Counter
 	inflight     *obs.Gauge
@@ -265,7 +245,6 @@ func NewBackendServer(b Backend, cfg Config) (*Server, error) {
 		installer:    installer,
 		cfg:          cfg,
 		sem:          make(chan struct{}, cfg.MaxConcurrent),
-		cache:        newLRUCache(cfg.CacheSize),
 		featMemo:     newFeatMemo(cfg.FeatMemoSize),
 		capture:      cfg.Capture,
 		pending:      pending,
@@ -275,18 +254,12 @@ func NewBackendServer(b Backend, cfg Config) (*Server, error) {
 		requests:     obs.Default.Counter("serve/requests"),
 		errors:       obs.Default.Counter("serve/errors"),
 		rejected:     obs.Default.Counter("serve/rejected"),
-		cacheHits:    obs.Default.Counter("serve/cache/hits"),
-		cacheMisses:  obs.Default.Counter("serve/cache/misses"),
-		cacheFlushes: obs.Default.Counter("serve/cache/flushes"),
 		memoHits:     obs.Default.Counter("serve/featmemo/hits"),
 		memoMisses:   obs.Default.Counter("serve/featmemo/misses"),
 		batchReqs:    obs.Default.Counter("serve/batch/requests"),
 		batchItems:   obs.Default.Counter("serve/batch/items"),
 		batchErrors:  obs.Default.Counter("serve/batch/item_errors"),
 		shadowErrors: obs.Default.Counter("serve/shadow/errors"),
-		cascadeHits:  obs.Default.Counter("serve/cascade/hits"),
-		cascadeFalls: obs.Default.Counter("serve/cascade/fallthroughs"),
-		cascadeConf:  obs.Default.Histogram("serve/cascade/confidence", confidenceBuckets),
 		adminReqs:    obs.Default.Counter("serve/admin/requests"),
 		adminDenied:  obs.Default.Counter("serve/admin/unauthorized"),
 		inflight:     obs.Default.Gauge("serve/inflight"),
@@ -339,18 +312,6 @@ func (s *Server) burnRate5m() float64 {
 	return 0
 }
 
-// FlushCache empties the prediction LRU. The registry calls it (via its
-// OnSwap hook) on every hot-swap and promotion, and the admin handlers
-// call it directly, so stale answers for a replaced model are
-// unreachable — on top of the artifact hash already being part of
-// every cache key. The feature memo is deliberately NOT flushed here:
-// body→features is model-independent, so memoized vectors stay valid
-// across swaps — that persistence is the memo's whole point.
-func (s *Server) FlushCache() {
-	s.cache.Flush()
-	s.cacheFlushes.Inc()
-}
-
 // FeatMemoStats reports the feature-memo hit/miss tallies (the
 // process-wide serve/featmemo/* counters), for tests and diagnostics.
 func (s *Server) FeatMemoStats() (hits, misses int64) {
@@ -365,7 +326,8 @@ type predictResponse struct {
 	// ModelHash identifies the artifact that produced the answer; it
 	// changes on every hot-swap or promotion.
 	ModelHash string `json:"model_hash"`
-	// Cached reports whether the answer came from the content-hash LRU.
+	// Cached reports whether the features came from the feature memo
+	// (parse and extract skipped); the live model always predicts.
 	Cached bool `json:"cached"`
 }
 
@@ -382,14 +344,6 @@ type modelResponse struct {
 	Hash       string   `json:"hash"`
 	Source     string   `json:"source,omitempty"`
 	ShadowHash string   `json:"shadow_hash,omitempty"`
-	// Cascade calibration, present when the artifact carries a
-	// cheap-first stage.
-	Cascade           bool    `json:"cascade,omitempty"`
-	CascadeClassifier string  `json:"cascade_classifier,omitempty"`
-	CascadeThreshold  float64 `json:"cascade_threshold,omitempty"`
-	CascadeAgreement  float64 `json:"cascade_heldout_agreement,omitempty"`
-	CascadeTarget     float64 `json:"cascade_target_agreement,omitempty"`
-	CascadeHitRate    float64 `json:"cascade_heldout_hit_rate,omitempty"`
 }
 
 // ReadyResponse is the /readyz body: readiness, process uptime and the
@@ -488,14 +442,6 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	}
 	if art.Kind == KindSemisup {
 		resp.Clusters = art.Semisup.NumClusters()
-	}
-	if c := art.Cascade; c != nil {
-		resp.Cascade = true
-		resp.CascadeClassifier = c.Classifier
-		resp.CascadeThreshold = c.Threshold
-		resp.CascadeAgreement = c.HeldoutAgreement
-		resp.CascadeTarget = c.TargetAgreement
-		resp.CascadeHitRate = c.HeldoutHitRate
 	}
 	if cand, ok := s.backend.Shadow(lm.Arch); ok {
 		resp.ShadowHash = cand.Hash
@@ -604,9 +550,10 @@ func (s *Server) readBody(r *http.Request) ([]byte, error) {
 	return body, nil
 }
 
-// answered is one resolved prediction: the served answer, its cache
-// disposition, and the shadow candidate's answer when one scored the
-// same request — what feedback joins measured outcomes against.
+// answered is one resolved prediction: the served answer, whether its
+// features came from the memo, and the shadow candidate's answer when
+// one scored the same request — what feedback joins measured outcomes
+// against.
 type answered struct {
 	pred   Prediction
 	cached bool
@@ -615,206 +562,65 @@ type answered struct {
 }
 
 // predictBody answers one MatrixMarket body against a resolved live
-// model: cache lookup (keyed by body content and the live artifact
-// hash), feature-memo lookup (keyed by body content alone), parse,
-// extract (through the caller's scratches), predict, shadow score.
-// Shared by the single-matrix endpoint and every batch item, so the two
-// paths cannot drift.
-//
-// While a shadow candidate is registered for the arch the cache is
-// bypassed entirely: shadow evaluation wants every request scored by
-// both models, and serving the live answer from the LRU would silently
-// shrink the comparison sample. The feature memo still serves shadowed
-// requests when it holds the full vector — both models then score the
-// memoized features, which is exactly what the parse path would feed
-// them.
+// model, always along one path: feature-memo lookup (keyed by body
+// content alone), else parse and extract (through the caller's
+// scratches) and memoize; then predict, shadow score and record. Shared
+// by the single-matrix endpoint and every batch item, so the two paths
+// cannot drift. A memo hit skips only parse and extract: the live model
+// and any shadow candidate score the memoized vector, exactly what the
+// parse path would feed them.
 func (s *Server) predictBody(ctx context.Context, lm LiveModel, cand LiveModel, shadowed bool, scratch *features.Scratch, ps *sparse.ParseScratch, body []byte) (answered, error) {
-	sum := sha256.Sum256(body)
-	key := contentKeySum("matrix", lm.Hash, sum)
-	if !shadowed {
-		_, csp := obs.StartChild(ctx, "cache")
-		pred, ok := s.cache.Get(key)
-		csp.End()
-		if ok {
-			s.cacheHits.Inc()
-			// Cache hits never parse the body, so the drift monitor only
-			// sees the label stream (vec is nil).
-			s.recordPrediction(ctx, lm.Arch, pred, nil)
-			return answered{pred: pred, cached: true}, nil
-		}
-	}
-	s.cacheMisses.Inc()
-	// Feature memo: a repeat body skips parse + extract even when the
-	// prediction cache missed (different model hash after a swap, cache
-	// disabled, or a different arch).
+	var ans answered
 	memoKey := ""
+	var vec []float64
 	if s.featMemo.Enabled() {
+		sum := sha256.Sum256(body)
 		memoKey = string(sum[:16])
-		mctx, msp := obs.StartChild(ctx, "memo")
-		if e, ok := s.featMemo.Get(memoKey); ok {
-			// The prediction cache missed but the features were already
-			// known — a model swapped, an arch changed, or caching is off.
-			// That disposition is worth a trace, so flag it for the store.
-			noteMemoThenMiss(ctx)
-			if ans, served := s.answerFromMemo(mctx, lm, cand, shadowed, key, e); served {
-				msp.SetMetric("hit", 1)
-				msp.End()
-				s.memoHits.Inc()
-				return ans, nil
-			}
+		_, msp := obs.StartChild(ctx, "memo")
+		vec, ans.cached = s.featMemo.Get(memoKey)
+		if ans.cached {
+			msp.SetMetric("hit", 1)
+			s.memoHits.Inc()
+		} else {
+			msp.SetMetric("hit", 0)
+			s.memoMisses.Inc()
 		}
-		msp.SetMetric("hit", 0)
 		msp.End()
-		s.memoMisses.Inc()
 	}
-	_, psp := obs.StartChild(ctx, "parse")
-	psp.SetMetric("bytes", float64(len(body)))
-	m, err := sparse.ReadMatrixMarketBytesScratch(body, ps)
+	if !ans.cached {
+		_, psp := obs.StartChild(ctx, "parse")
+		psp.SetMetric("bytes", float64(len(body)))
+		m, err := sparse.ReadMatrixMarketBytesScratch(body, ps)
+		psp.End()
+		if err != nil {
+			return answered{}, badRequest("parsing MatrixMarket body: %v", err)
+		}
+		_, fsp := obs.StartChild(ctx, "features/full")
+		vec = scratch.Extract(m).Slice()
+		fsp.End()
+		if memoKey != "" {
+			s.featMemo.Put(memoKey, vec)
+		}
+	}
+	_, psp := obs.StartChild(ctx, "predict")
+	pred, err := lm.Artifact.Predict(vec)
 	psp.End()
-	if err != nil {
-		return answered{}, badRequest("parsing MatrixMarket body: %v", err)
-	}
-	// Cheap-first: a cascade artifact answers from the O(rows) features
-	// when confident and only pays full extraction on fall-through, so
-	// vec is nil for cheap answers.
-	pred, vec, err := lm.Artifact.PredictMatrixScratchCtx(ctx, m, scratch)
 	if err != nil {
 		return answered{}, badRequest("%v", err)
 	}
-	s.noteCascade(lm.Artifact, pred)
-	ans := answered{pred: pred}
+	ans.pred = pred
 	if shadowed {
-		// The candidate scores on the full feature vector regardless of
-		// which stage answered, so shadow agreement still compares whole
-		// models (shadowing temporarily forfeits the cascade's win).
-		if vec == nil {
-			_, fsp := obs.StartChild(ctx, "features/full")
-			vec = scratch.Extract(m).Slice()
-			fsp.End()
-		}
 		_, ssp := obs.StartChild(ctx, "shadow")
-		ans.cand, ans.candOK = s.scoreShadow(lm.Arch, cand, pred, vec)
+		ans.cand, ans.candOK = s.scoreShadow(lm.Arch, cand, ans.pred, vec)
 		ssp.End()
-	} else {
-		s.cache.Put(key, pred)
 	}
-	if memoKey != "" {
-		// Memoize whatever this request actually extracted. The vectors
-		// alias the caller's scratch, so copy before the next request
-		// overwrites them; cheap-only entries upgrade to full later.
-		if vec != nil {
-			s.featMemo.Put(memoKey, featEntry{full: append([]float64(nil), vec...)})
-		} else {
-			cheap := scratch.ExtractCheap(m)
-			s.featMemo.Put(memoKey, featEntry{cheap: append([]float64(nil), cheap[:]...)})
-		}
-	}
-	// Cheap answers never computed the 21-feature vector; like a cache
-	// hit, the drift monitor then advances only its label stream.
-	s.recordPrediction(ctx, lm.Arch, pred, vec)
+	s.recordPrediction(ctx, lm.Arch, ans.pred, vec)
 	return ans, nil
 }
 
-// answerFromMemo serves one cache-missed request from memoized feature
-// vectors, skipping parse and extraction. served=false means the entry
-// cannot answer this request (cheap-only entry but the cascade is not
-// confident, a shadow needs the full vector, or the model rejected the
-// vector) and the caller takes the parse path.
-func (s *Server) answerFromMemo(ctx context.Context, lm LiveModel, cand LiveModel, shadowed bool, cacheKey string, e featEntry) (answered, bool) {
-	if e.full != nil {
-		// Artifact.Predict routes the full vector through the cascade
-		// exactly like the parse path would, so stage, confidence and
-		// label come out identical to a fresh computation.
-		_, psp := obs.StartChild(ctx, "predict")
-		pred, err := lm.Artifact.Predict(e.full)
-		psp.End()
-		if err != nil {
-			return answered{}, false // let the parse path report it
-		}
-		s.noteCascade(lm.Artifact, pred)
-		ans := answered{pred: pred}
-		if shadowed {
-			_, ssp := obs.StartChild(ctx, "shadow")
-			ans.cand, ans.candOK = s.scoreShadow(lm.Arch, cand, pred, e.full)
-			ssp.End()
-		} else {
-			s.cache.Put(cacheKey, pred)
-		}
-		s.recordPrediction(ctx, lm.Arch, pred, e.full)
-		return ans, true
-	}
-	// Cheap-only entry: answer only in exactly the situation the parse
-	// path would have answered from the cheap stage — an unshadowed
-	// request against a standard-ordering cascade that clears its
-	// threshold. Anything else needs the full vector, hence a parse.
-	c := lm.Artifact.Cascade
-	if shadowed || c == nil || !c.usesCheapOrder() || len(e.cheap) != features.CheapCount {
-		return answered{}, false
-	}
-	_, dsp := obs.StartChild(ctx, "cascade")
-	label, conf, err := c.decide(e.cheap)
-	dsp.End()
-	if err != nil || conf < c.Threshold || label < 0 || label >= len(lm.Artifact.Formats) {
-		return answered{}, false
-	}
-	pred := Prediction{
-		Format:     lm.Artifact.Formats[label],
-		Label:      label,
-		Cluster:    -1,
-		Stage:      StageCheap,
-		Confidence: conf,
-	}
-	s.noteCascade(lm.Artifact, pred)
-	ans := answered{pred: pred}
-	s.cache.Put(cacheKey, pred)
-	// Like any cheap answer, the 21-feature vector was never computed:
-	// the drift monitor advances only its label stream.
-	s.recordPrediction(ctx, lm.Arch, pred, nil)
-	return ans, true
-}
-
-// Cascade confidences are probabilities; bucket the interesting top end
-// where thresholds live.
-var confidenceBuckets = []float64{0.2, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1}
-
-// noteCascade tallies which stage answered. Only computed answers from
-// a cascade-carrying artifact count: cache hits never ran either stage.
-func (s *Server) noteCascade(art *Artifact, pred Prediction) {
-	if art.Cascade == nil {
-		return
-	}
-	if pred.Stage == StageCheap {
-		s.cascadeHits.Inc()
-	} else {
-		s.cascadeFalls.Inc()
-	}
-	s.cascadeConf.Observe(pred.Confidence)
-}
-
-// CascadeStats reports the server's cascade tallies since start:
-// cheap-stage answers, full-path fall-throughs, and the hit rate over
-// computed predictions. Surfaced in /v1/admin/quality.
-type CascadeStats struct {
-	Hits         int64   `json:"hits"`
-	Fallthroughs int64   `json:"fallthroughs"`
-	HitRate      float64 `json:"hit_rate"`
-}
-
-func (s *Server) cascadeStats() CascadeStats {
-	st := CascadeStats{
-		Hits:         s.cascadeHits.Value(),
-		Fallthroughs: s.cascadeFalls.Value(),
-	}
-	if n := st.Hits + st.Fallthroughs; n > 0 {
-		st.HitRate = float64(st.Hits) / float64(n)
-	}
-	return st
-}
-
 // recordPrediction tallies one served answer: the per-arch/format
-// counter plus the drift monitor. vec may be nil when the request body
-// was never parsed (a cache hit); the drift monitor then advances only
-// its predicted-format stream.
+// counter plus the drift monitor, which sees the full feature vector
+// whether it was extracted or memoized.
 func (s *Server) recordPrediction(ctx context.Context, arch string, pred Prediction, vec []float64) {
 	s.predictions.With(arch, pred.Format).Inc()
 	if s.drift != nil {
@@ -896,35 +702,18 @@ func (s *Server) predictFeatures(ctx context.Context, r *http.Request) (any, err
 		return nil, &httpError{status: http.StatusServiceUnavailable, err: err}
 	}
 	cand, shadowed := s.backend.Shadow(lm.Arch)
-	key := contentKey("features", lm.Hash, body)
-	if !shadowed {
-		if pred, ok := s.cache.Get(key); ok {
-			s.cacheHits.Inc()
-			noteCached(ctx, true)
-			// The feature vector is in hand even on a hit, so the drift
-			// monitor sees the full observation.
-			s.recordPrediction(ctx, lm.Arch, pred, req.Features)
-			s.notePending(ctx, "", lm, pred, Prediction{}, false)
-			s.captureRequest(ctx, "/v1/predict/features", lm, r.Header.Get("Content-Type"), body, []string{pred.Format})
-			return predictResponse{Prediction: pred, Arch: lm.Arch, ModelHash: lm.Hash, Cached: true}, nil
-		}
-	}
-	s.cacheMisses.Inc()
 	_, psp := obs.StartChild(ctx, "predict")
 	pred, err := lm.Artifact.Predict(req.Features)
 	psp.End()
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	s.noteCascade(lm.Artifact, pred)
 	var candPred Prediction
 	var candOK bool
 	if shadowed {
 		_, ssp := obs.StartChild(ctx, "shadow")
 		candPred, candOK = s.scoreShadow(lm.Arch, cand, pred, req.Features)
 		ssp.End()
-	} else {
-		s.cache.Put(key, pred)
 	}
 	s.recordPrediction(ctx, lm.Arch, pred, req.Features)
 	s.notePending(ctx, "", lm, pred, candPred, candOK)
@@ -966,27 +755,6 @@ func (s *Server) Run(ctx context.Context, addr string, ready func(bound string))
 		return fmt.Errorf("serve: shutdown: %w", err)
 	}
 	return nil
-}
-
-// contentKey hashes an endpoint-qualified request body together with
-// the live artifact hash, so entries cached under a replaced model can
-// never answer a request served by its successor.
-func contentKey(endpoint, modelHash string, body []byte) string {
-	return contentKeySum(endpoint, modelHash, sha256.Sum256(body))
-}
-
-// contentKeySum is contentKey over a precomputed body digest: the
-// matrix path hashes its body exactly once and reuses the digest for
-// both the prediction cache key (which must also cover the artifact
-// hash) and the feature-memo key (which must not).
-func contentKeySum(endpoint, modelHash string, sum [sha256.Size]byte) string {
-	h := sha256.New()
-	io.WriteString(h, endpoint)
-	h.Write([]byte{0})
-	io.WriteString(h, modelHash)
-	h.Write([]byte{0})
-	h.Write(sum[:])
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // writeError renders err as its JSON error body, honouring an embedded

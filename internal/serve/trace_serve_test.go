@@ -15,8 +15,8 @@ import (
 
 // TestTraceIDHeaderFlow: an incoming X-Request-ID is honoured and
 // echoed; a request without one gets a minted ID; the access log line
-// carries the same ID plus the resolved arch, model hash and cache
-// disposition.
+// carries the same ID plus the resolved arch, model hash and
+// feature-memo disposition.
 func TestTraceIDHeaderFlow(t *testing.T) {
 	defer obs.Default.Reset()
 	var logBuf bytes.Buffer
@@ -90,7 +90,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	srv, _, _, mm := testServer(t, Config{})
 	h := srv.Handler()
 
-	// Generate traffic: two predictions (second is a cache hit).
+	// Generate traffic: two predictions (second is a feature-memo hit).
 	for i := 0; i < 2; i++ {
 		rec, _ := postJSON(t, h, "/v1/predict/matrix", mm)
 		if rec.Code != http.StatusOK {
@@ -110,7 +110,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v", err)
 	}
-	// Both predictions (including the cache hit) count, labeled by arch.
+	// Both predictions (including the memo hit) count, labeled by arch.
 	if got := m.Sum("spmvselect_serve_predictions_total", "arch", "turing"); got != 2 {
 		t.Errorf("predictions{arch=turing} = %v, want 2", got)
 	}
@@ -122,8 +122,8 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		"endpoint", "/v1/predict/matrix", "arch", "turing"); !ok || v != 2 {
 		t.Errorf("http_seconds_count = %v %v", v, ok)
 	}
-	if v, ok := m.Value("spmvselect_serve_cache_hits_total"); !ok || v < 1 {
-		t.Errorf("cache hits = %v %v", v, ok)
+	if v, ok := m.Value("spmvselect_serve_featmemo_hits_total"); !ok || v < 1 {
+		t.Errorf("feature-memo hits = %v %v", v, ok)
 	}
 	// SLO gauges are refreshed by the scrape itself.
 	if v, ok := m.Value("spmvselect_slo_requests", "window", "1m"); !ok || v != 2 {

@@ -5,7 +5,10 @@
 #
 #   (no argument)  vet + build + race-enabled tests + the suite again
 #                  at -cpu 1,2 (so assertions that only arm with more
-#                  than one worker always run) + the race-free
+#                  than one worker always run) + the classify package
+#                  again at -cpu 1,2,4 -count=3 (the forest's parallel
+#                  fan-out, and its bit-identity to the per-node-sort
+#                  reference, at 4 workers) + the race-free
 #                  allocation guards (pooled parse scratch, feature-memo
 #                  hits) + the obs disabled-path overhead benchmark + a
 #                  benchparse differential smoke (the byte-slice
@@ -78,6 +81,9 @@ go test -race ./...
 
 echo '== go test -cpu 1,2 ./...'
 go test -cpu 1,2 ./...
+
+echo '== go test -cpu 1,2,4 -count=3 ./internal/classify'
+go test -cpu 1,2,4 -count=3 ./internal/classify
 
 echo '== allocation guards (AllocsPerRun needs a race-free binary)'
 go test -run Allocs -count=1 ./internal/sparse ./internal/serve

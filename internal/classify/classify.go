@@ -13,6 +13,7 @@ package classify
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/obs"
 )
@@ -67,6 +68,14 @@ func checkTrainingInput(x [][]float64, y []int, classes int) error {
 	for i, r := range x {
 		if len(r) != d {
 			return fmt.Errorf("classify: row %d has %d features, want %d", i, len(r), d)
+		}
+		// A NaN compares false both ways, so no sort orders it, and an
+		// infinite value turns a split threshold (a midpoint) into ±Inf
+		// or NaN.
+		for j, v := range r {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("classify: non-finite feature %v at row %d, column %d", v, i, j)
+			}
 		}
 	}
 	for i, l := range y {

@@ -2,9 +2,11 @@ package classify
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -125,6 +127,19 @@ func TestFitInputValidation(t *testing.T) {
 	for _, m := range models {
 		if err := m.Fit([][]float64{{1}, {1, 2}}, []int{0, 1}, 2); err == nil {
 			t.Errorf("%T: ragged input accepted", m)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		models = []Classifier{NewKNN(3), NewTree(3), NewForest(1), NewLogReg(), NewSVM(1), NewGBoost()}
+		for _, m := range models {
+			x := [][]float64{{1, 2}, {3, 4}, {5, 6}}
+			x[2][1] = bad
+			err := m.Fit(x, []int{0, 1, 0}, 2)
+			if err == nil {
+				t.Errorf("%T: feature %v accepted", m, bad)
+			} else if !strings.Contains(err.Error(), "row 2, column 1") {
+				t.Errorf("%T: error %q does not name row 2, column 1", m, err)
+			}
 		}
 	}
 }

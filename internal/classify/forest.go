@@ -1,7 +1,6 @@
 package classify
 
 import (
-	"context"
 	"math"
 	"math/rand"
 
@@ -53,43 +52,60 @@ func (m *Forest) Fit(x [][]float64, y []int, classes int) error {
 	m.classes = classes
 	m.trees = make([]*Tree, m.Trees)
 
-	// Pre-draw bootstrap samples sequentially for determinism, then
-	// train trees in parallel through the shared obs pool (so forest
-	// training shows up in the parallel/regions and parallel/workers
-	// metrics like every other parallel section). Each tree's seed is
-	// fixed before the fan-out and each goroutine writes only its own
-	// slot, so the fitted forest is identical at any worker count.
+	// Sort the features once for the whole forest. Then pre-draw the
+	// bootstrap samples sequentially for determinism, as a per-row copy
+	// count, and train trees in parallel through the shared obs pool (so
+	// forest training shows up in the parallel/regions and
+	// parallel/workers metrics like every other parallel section). Each
+	// tree's seed is fixed before the fan-out and each goroutine writes
+	// only its own slot, so the fitted forest is identical at any worker
+	// count.
+	cols := columnMajor(x)
+	order := presort(cols)
 	rng := rand.New(rand.NewSource(m.Seed))
-	boots := make([][][]float64, m.Trees)
-	bootY := make([][]int, m.Trees)
+	copies := make([][]int32, m.Trees)
 	seeds := make([]int64, m.Trees)
 	for t := 0; t < m.Trees; t++ {
-		bx := make([][]float64, len(x))
-		by := make([]int, len(x))
-		for i := range bx {
-			j := rng.Intn(len(x))
-			bx[i] = x[j]
-			by[i] = y[j]
+		c := make([]int32, len(x))
+		for range x {
+			c[rng.Intn(len(x))]++
 		}
-		boots[t], bootY[t] = bx, by
+		copies[t] = c
 		seeds[t] = rng.Int63()
 	}
 
-	err := obs.ParallelForErr(context.Background(), m.Trees, 0, func(_ context.Context, t int) error {
+	obs.ParallelFor(m.Trees, func(t int) {
 		tree := NewTree(m.MaxDepth)
 		tree.MaxFeatures = mf
 		tree.Seed = seeds[t]
-		if err := tree.Fit(boots[t], bootY[t], classes); err != nil {
-			return err
-		}
+		tree.fitSorted(cols, y, bootstrapOrder(order, copies[t]), classes)
 		m.trees[t] = tree
-		return nil
 	})
-	if err != nil {
-		return err
-	}
 	m.fitted = true
 	return nil
+}
+
+// bootstrapOrder builds one tree's sorted feature columns from the
+// forest's shared order in O(n·d): it walks each column and emits every
+// row once per bootstrap copy. Copies of a row carry equal values, so
+// the result stays ascending.
+func bootstrapOrder(order [][]int32, copies []int32) [][]int32 {
+	n := 0
+	for _, c := range copies {
+		n += int(c)
+	}
+	flat := make([]int32, 0, n*len(order))
+	out := make([][]int32, len(order))
+	for f, col := range order {
+		start := len(flat)
+		for _, i := range col {
+			for c := copies[i]; c > 0; c-- {
+				flat = append(flat, i)
+			}
+		}
+		out[f] = flat[start:len(flat):len(flat)]
+	}
+	return out
 }
 
 // Predict majority-votes the estimators.

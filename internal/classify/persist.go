@@ -110,26 +110,47 @@ func flatten(n *treeNode, out *[]treeNodeGob) int {
 	return idx
 }
 
-// unflatten rebuilds the subtree rooted at index i.
-func unflatten(nodes []treeNodeGob, i int) (*treeNode, error) {
+// unflatten rebuilds the subtree rooted at index i and returns it with
+// the index just past the subtree. The nodes must be in the preorder
+// flatten writes — the left child right after its parent, the right
+// child right after the left subtree — so every step moves forward and a
+// crafted cycle or shared node is an error instead of a recursion
+// without bound. Every class must lie in [0, classes) and every split
+// feature in [0, features), so Predict and the forest's vote cannot
+// index out of range.
+func unflatten(nodes []treeNodeGob, i, features, classes int) (*treeNode, int, error) {
 	if i < 0 || i >= len(nodes) {
-		return nil, fmt.Errorf("classify: decoded tree node index %d outside [0, %d)", i, len(nodes))
+		return nil, 0, fmt.Errorf("classify: decoded tree node index %d outside [0, %d)", i, len(nodes))
 	}
 	w := nodes[i]
+	if w.Class < 0 || w.Class >= classes {
+		return nil, 0, fmt.Errorf("classify: decoded tree node %d has class %d outside [0, %d)", i, w.Class, classes)
+	}
 	n := &treeNode{
 		feature: w.Feature, threshold: w.Threshold,
 		class: w.Class, leaf: w.Leaf, counts: w.Counts,
 	}
-	if !n.leaf {
-		var err error
-		if n.left, err = unflatten(nodes, w.Left); err != nil {
-			return nil, err
-		}
-		if n.right, err = unflatten(nodes, w.Right); err != nil {
-			return nil, err
-		}
+	if n.leaf {
+		return n, i + 1, nil
 	}
-	return n, nil
+	if w.Feature < 0 || w.Feature >= features {
+		return nil, 0, fmt.Errorf("classify: decoded tree node %d splits on feature %d outside [0, %d)", i, w.Feature, features)
+	}
+	if w.Left != i+1 {
+		return nil, 0, fmt.Errorf("classify: decoded tree node %d has left child %d, want %d (preorder)", i, w.Left, i+1)
+	}
+	var err error
+	next := 0
+	if n.left, next, err = unflatten(nodes, w.Left, features, classes); err != nil {
+		return nil, 0, err
+	}
+	if w.Right != next {
+		return nil, 0, fmt.Errorf("classify: decoded tree node %d has right child %d, want %d (preorder)", i, w.Right, next)
+	}
+	if n.right, next, err = unflatten(nodes, w.Right, features, classes); err != nil {
+		return nil, 0, err
+	}
+	return n, next, nil
 }
 
 // GobEncode serialises the fitted tree as a flattened node array.
@@ -159,9 +180,12 @@ func (m *Tree) GobDecode(data []byte) error {
 		importance: w.Importance, nTrain: w.NTrain,
 	}
 	if len(w.Nodes) > 0 {
-		root, err := unflatten(w.Nodes, 0)
+		root, end, err := unflatten(w.Nodes, 0, len(w.Importance), w.Classes)
 		if err != nil {
 			return err
+		}
+		if end != len(w.Nodes) {
+			return fmt.Errorf("classify: decoded tree has %d nodes, %d unreachable", len(w.Nodes), len(w.Nodes)-end)
 		}
 		t.root = root
 	} else if w.Fitted {
@@ -200,6 +224,21 @@ func (m *Forest) GobDecode(data []byte) error {
 	}
 	if w.Fitted && len(w.Estimators) == 0 {
 		return fmt.Errorf("classify: decoded forest is fitted but has no estimators")
+	}
+	// The vote indexes a Classes-long histogram by each estimator's
+	// prediction, and every estimator reads the same feature vector.
+	for i, t := range w.Estimators {
+		switch {
+		case t == nil:
+			return fmt.Errorf("classify: decoded forest estimator %d is missing", i)
+		case w.Fitted && !t.fitted:
+			return fmt.Errorf("classify: decoded forest estimator %d is not fitted", i)
+		case t.classes != w.Classes:
+			return fmt.Errorf("classify: decoded forest estimator %d has %d classes, forest has %d", i, t.classes, w.Classes)
+		case len(t.importance) != len(w.Estimators[0].importance):
+			return fmt.Errorf("classify: decoded forest estimator %d has %d features, estimator 0 has %d",
+				i, len(t.importance), len(w.Estimators[0].importance))
+		}
 	}
 	*m = Forest{
 		Trees: w.Trees, MaxDepth: w.MaxDepth, MaxFeatures: w.MaxFeatures,

@@ -108,6 +108,70 @@ func TestClassifierGobRejectsGarbage(t *testing.T) {
 	if err := tree.GobDecode(data); err == nil {
 		t.Error("fitted node-less tree accepted")
 	}
+
+	// Crafted node arrays: each would recurse without bound or panic in
+	// Predict or the forest's vote if decode let it through.
+	leaf := treeNodeGob{Leaf: true, Left: -1, Right: -1}
+	split := func(feature, left, right int) treeNodeGob {
+		return treeNodeGob{Feature: feature, Left: left, Right: right}
+	}
+	imp := []float64{0.5, 0.5}
+	for name, w := range map[string]treeGob{
+		"root is its own left child":  {Nodes: []treeNodeGob{split(0, 0, 1), leaf}},
+		"left child skips ahead":      {Nodes: []treeNodeGob{split(0, 2, 1), leaf, leaf}},
+		"right child points back":     {Nodes: []treeNodeGob{split(0, 1, 0), leaf}},
+		"right child shares the left": {Nodes: []treeNodeGob{split(0, 1, 1), leaf}},
+		"right child out of range":    {Nodes: []treeNodeGob{split(0, 1, 2), leaf}},
+		"left child out of range":     {Nodes: []treeNodeGob{split(0, 1, 2)}},
+		"unreachable trailing node":   {Nodes: []treeNodeGob{leaf, leaf}},
+		"negative feature":            {Nodes: []treeNodeGob{split(-1, 1, 2), leaf, leaf}},
+		"feature past importances":    {Nodes: []treeNodeGob{split(2, 1, 2), leaf, leaf}},
+		"class past classes":          {Nodes: []treeNodeGob{split(0, 1, 2), leaf, {Leaf: true, Class: 3}}},
+		"negative class":              {Nodes: []treeNodeGob{{Leaf: true, Class: -1}}},
+	} {
+		w.Fitted, w.Classes, w.Importance = true, 3, imp
+		data, err := encodeWire(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr Tree
+		if err := tr.GobDecode(data); err == nil {
+			t.Errorf("tree with %s accepted", name)
+		}
+	}
+
+	// A forest whose estimators disagree with it on the class count or
+	// with each other on the feature count would index its vote or the
+	// feature vector out of range.
+	rng := rand.New(rand.NewSource(5))
+	x, y := persistTask(rng, 60, 2)
+	fit := func(classes, d int) *Tree {
+		tr := NewTree(3)
+		rows := make([][]float64, len(x))
+		for i := range rows {
+			rows[i] = make([]float64, d)
+			copy(rows[i], x[i])
+		}
+		if err := tr.Fit(rows, y, classes); err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	for name, w := range map[string]forestGob{
+		"estimator with fewer classes": {Classes: 4, Estimators: []*Tree{fit(4, 2), fit(3, 2)}},
+		"estimator with more features": {Classes: 3, Estimators: []*Tree{fit(3, 2), fit(3, 3)}},
+		"unfitted estimator":           {Classes: 3, Estimators: []*Tree{fit(3, 2), NewTree(3)}},
+	} {
+		w.Fitted = true
+		data, err := encodeWire(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var f Forest
+		if err := f.GobDecode(data); err == nil {
+			t.Errorf("forest with %s accepted", name)
+		}
+	}
 }
 
 // TestUnfittedClassifierRoundTrips checks an unfitted model survives

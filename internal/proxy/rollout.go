@@ -146,11 +146,18 @@ func Rollout(ctx context.Context, cfg RolloutConfig) (*RolloutResult, error) {
 		res.Driven = n
 		cfg.logf("rollout: drove %d matrices through each replica", n)
 	}
+	var pending []string
 	for {
-		pending, err := observeOnce(ctx, cfg, wantHash, res)
+		next, err := observeOnce(ctx, cfg, wantHash, res)
 		if err != nil {
+			// The deadline can expire inside a poll; the last complete
+			// poll then says why the fleet has not cleared the bar.
+			if ctx.Err() != nil && len(pending) > 0 {
+				return nil, fmt.Errorf("rollout: timed out observing; still pending: %v", pending)
+			}
 			return nil, err
 		}
+		pending = next
 		if len(pending) == 0 {
 			break
 		}

@@ -14,7 +14,6 @@ package repro
 import (
 	"context"
 	"math/rand"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -500,41 +499,4 @@ func BenchmarkKernelModel(b *testing.B) {
 			}
 		}
 	}
-}
-
-// BenchmarkTablesParallel times the scheduled tables (4-7) end to end
-// with the scheduler pinned to one worker versus eight — the measurement
-// behind BENCH_parallel.json (`spmvselect benchpar` regenerates that
-// file and additionally byte-compares the rendered output). GOMAXPROCS
-// is raised for the parallel case so the workers can actually interleave
-// even when the host reports a single CPU.
-func BenchmarkTablesParallel(b *testing.B) {
-	env := benchEnv(b)
-	run := func(b *testing.B, workers int) {
-		prev := obs.SetMaxWorkers(workers)
-		defer obs.SetMaxWorkers(prev)
-		opt := eval.QuickOptions()
-		opt.Workers = workers
-		ctx := context.Background()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eval.Table4(ctx, env, opt); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := eval.Table5(ctx, env, opt); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := eval.Table6(ctx, env, opt); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := eval.Table7(ctx, env, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("sequential", func(b *testing.B) { run(b, 1) })
-	b.Run("parallel-8", func(b *testing.B) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-		run(b, 8)
-	})
 }

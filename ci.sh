@@ -5,15 +5,13 @@
 #
 #   (no argument)  vet + build + race-enabled tests + the suite again
 #                  at -cpu 1,2 (so assertions that only arm with more
-#                  than one worker always run) + the classify package
-#                  again at -cpu 1,2,4 -count=3 (the forest's parallel
-#                  fan-out, and its bit-identity to the per-node-sort
-#                  reference, at 4 workers) + the race-free
+#                  than one worker always run) + internal/classify and
+#                  internal/serve again at -cpu 1,2,4 -count=3 (the
+#                  forest's parallel fan-out and its bit-identity to
+#                  the per-node-sort reference; the batch loop and the
+#                  serve caches at 4 workers) + the race-free
 #                  allocation guards (pooled parse scratch, feature-memo
-#                  hits) + the obs disabled-path overhead benchmark + a
-#                  benchparse differential smoke (the byte-slice
-#                  MatrixMarket fast path must parse every exported
-#                  matrix bit-identically to the streaming reader) +
+#                  hits) + the obs disabled-path overhead benchmark +
 #                  four end-to-end serving smoke tests (single-model
 #                  with telemetry:
 #                  access-log trace IDs, the Prometheus /metrics
@@ -39,34 +37,20 @@
 #                  candidate to every survivor's shadow slot and
 #                  promotes only after the whole fleet clears the
 #                  agreement threshold)
-#   bench          additionally regenerate BENCH_obs.json from an
-#                  instrumented paper-scale `table -n 9` run (minutes)
-#                  plus a `spmvselect benchtrace` serve_tracing section
-#                  (tracing-on vs tracing-off predict p50, failing when
-#                  always-on tracing costs more than 5%),
-#                  BENCH_parallel.json from `spmvselect benchpar`,
-#                  which fails when the parallel scheduler's output
-#                  differs from sequential or its speedup falls below
-#                  the machine-aware gate (3x with >= 8 CPUs; on
-#                  smaller hosts it only rejects pathological slowdown),
-#                  BENCH_parse.json from `spmvselect benchparse`
-#                  (streaming vs byte-slice MatrixMarket ingest;
-#                  fails below 3x or above 10% of the streaming
-#                  reader's allocations, and on any CSR difference),
-#                  BENCH_serve.json from `spmvselect benchserve`
-#                  (batched vs single-request serving plus the
-#                  feature-memo on/off comparison: memoized answers
-#                  must equal computed ones, the speed gates are
-#                  strict only on hosts with enough cores),
-#                  BENCH_replay.json from `spmvselect benchreplay`
-#                  (record/feedback/replay cycle; hard-fails when a
-#                  replayed prediction differs from the recording),
-#                  and BENCH_fleet.json from `spmvselect benchfleet`
-#                  (the same request mix through the proxy over one
-#                  replica vs the fleet; hard-fails when any proxied
-#                  answer differs byte-for-byte from a direct replica
-#                  answer, and on sub-gate scaling — near-linear with
-#                  enough cores, not-pathologically-slower otherwise)
+#   bench          additionally run the speed gates, the BenchmarkGate*
+#                  functions of the repository root (gate_test.go), once
+#                  each; every one fails below its machine-aware bound:
+#                  Tables 3-8 at 8 workers vs 1 (3x with >= 8 CPUs,
+#                  else 0.80x; outputs byte-identical), the byte-slice
+#                  MatrixMarket fast path vs the streaming reader (3x,
+#                  <= 10% of its allocations), feature memo on vs off
+#                  on repeat bodies (p50 1.2x with >= 4 CPUs, else
+#                  0.80x), the proxy over three serial replicas vs one
+#                  (0.5x per replica with more CPUs than replicas, else
+#                  0.80x), request tracing on vs off (p50 within 5%),
+#                  and four concurrent clients vs one (1.5x with >= 4
+#                  CPUs, else 0.60x). The end-to-end benchmark is
+#                  perfbench/ (perfbench/README.md).
 set -eu
 cd "$(dirname "$0")"
 
@@ -82,8 +66,8 @@ go test -race ./...
 echo '== go test -cpu 1,2 ./...'
 go test -cpu 1,2 ./...
 
-echo '== go test -cpu 1,2,4 -count=3 ./internal/classify'
-go test -cpu 1,2,4 -count=3 ./internal/classify
+echo '== go test -cpu 1,2,4 -count=3 ./internal/classify ./internal/serve'
+go test -cpu 1,2,4 -count=3 ./internal/classify ./internal/serve
 
 echo '== allocation guards (AllocsPerRun needs a race-free binary)'
 go test -run Allocs -count=1 ./internal/sparse ./internal/serve
@@ -99,12 +83,6 @@ go build -o "$SMOKE/spmvselect" ./cmd/spmvselect
 "$SMOKE/spmvselect" train -save "$SMOKE/model.gob" -quick -clusters 16 >/dev/null
 "$SMOKE/spmvselect" export -dir "$SMOKE/mtx" -count 2 -seed 4 >/dev/null
 MTX=$(ls "$SMOKE"/mtx/*.mtx | head -n 1)
-# The ingest fast path must produce bit-identical CSRs to the streaming
-# reader on every exported matrix (benchparse hard-fails on the first
-# difference; the perf gates are off here — the bench section measures).
-"$SMOKE/spmvselect" benchparse -dir "$SMOKE/mtx" -rounds 1 \
-	-min-speedup 0 -max-alloc-frac 1 -out "$SMOKE/bench_parse_smoke.json" >/dev/null \
-	|| { echo 'ci: fast-path parse diverged from the streaming reader'; exit 1; }
 "$SMOKE/spmvselect" serve -model "$SMOKE/model.gob" -addr 127.0.0.1:0 -portfile "$SMOKE/port" \
 	-admin-token "$ADMIN_TOKEN" -access-log "$SMOKE/access.log" &
 SERVE_PID=$!
@@ -407,21 +385,8 @@ wait "$R2_PID" || { echo 'ci: fleet replica 2 did not exit cleanly'; exit 1; }
 wait "$R3_PID" 2>/dev/null || true
 
 if [ "${1:-}" = bench ]; then
-	echo '== regenerating BENCH_obs.json (instrumented table -n 9, paper scale)'
-	go run ./cmd/spmvselect table -n 9 -obs :0 -report BENCH_obs.json >/dev/null
-	echo '== merging serve_tracing into BENCH_obs.json (tracing on/off p50, <= 5% gate)'
-	go run ./cmd/spmvselect benchtrace -out BENCH_obs.json
-	go run ./cmd/spmvselect report -in BENCH_obs.json -text
-	echo '== regenerating BENCH_parallel.json (sequential vs parallel tables, quick scale)'
-	go run ./cmd/spmvselect benchpar -workers 8 -out BENCH_parallel.json
-	echo '== regenerating BENCH_parse.json (streaming vs byte-slice MatrixMarket ingest)'
-	go run ./cmd/spmvselect benchparse -out BENCH_parse.json
-	echo '== regenerating BENCH_serve.json (single-request vs batched serving throughput)'
-	go run ./cmd/spmvselect benchserve -out BENCH_serve.json
-	echo '== regenerating BENCH_replay.json (record/feedback/replay quality loop)'
-	go run ./cmd/spmvselect benchreplay -out BENCH_replay.json
-	echo '== regenerating BENCH_fleet.json (proxied 1-replica vs fleet throughput)'
-	go run ./cmd/spmvselect benchfleet -out BENCH_fleet.json
+	echo '== speed gates (BenchmarkGate*, once each)'
+	go test -run - -bench Gate -benchtime 1x .
 fi
 
 echo 'ci: all checks passed'

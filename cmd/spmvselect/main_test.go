@@ -1,14 +1,18 @@
 package main
 
 import (
+	"bytes"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sparse"
 )
 
 func TestCmdExportWritesReadableMatrices(t *testing.T) {
@@ -23,9 +27,47 @@ func TestCmdExportWritesReadableMatrices(t *testing.T) {
 	if len(entries) == 0 {
 		t.Fatal("no matrices exported")
 	}
+	// Every exported file must parse, and the byte-slice fast path must
+	// produce a bit-identical CSR to the streaming reader (value bits
+	// compared, so -0 vs 0 counts as a difference).
+	ps := sparse.GetParseScratch()
+	defer sparse.PutParseScratch(ps)
 	for _, e := range entries {
 		if !strings.HasSuffix(e.Name(), ".mtx") {
 			t.Errorf("unexpected file %s", e.Name())
+			continue
+		}
+		body, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sm, err := sparse.ReadMatrixMarket(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: streaming reader: %v", e.Name(), err)
+		}
+		fm, err := sparse.ReadMatrixMarketBytesScratch(body, ps)
+		if err != nil {
+			t.Fatalf("%s: fast path: %v", e.Name(), err)
+		}
+		sr, sc := sm.Dims()
+		fr, fc := fm.Dims()
+		if sr != fr || sc != fc {
+			t.Errorf("%s: dims %dx%d streaming vs %dx%d fast", e.Name(), sr, sc, fr, fc)
+			continue
+		}
+		if !slices.Equal(sm.RowPtr(), fm.RowPtr()) || !slices.Equal(sm.ColIdx(), fm.ColIdx()) {
+			t.Errorf("%s: fast path index arrays differ from the streaming reader's", e.Name())
+		}
+		sv, fv := sm.Values(), fm.Values()
+		if len(sv) != len(fv) {
+			t.Errorf("%s: %d values streaming vs %d fast", e.Name(), len(sv), len(fv))
+			continue
+		}
+		for k := range sv {
+			if math.Float64bits(sv[k]) != math.Float64bits(fv[k]) {
+				t.Errorf("%s: value %d is %v streaming vs %v fast", e.Name(), k, sv[k], fv[k])
+				break
+			}
 		}
 	}
 }

@@ -14,9 +14,8 @@ const DefaultReportPath = "obs-run.json"
 
 // RunReport is the machine-readable record of one instrumented run:
 // the span trees of every pipeline stage plus a snapshot of the metrics
-// registry. Committed reports (BENCH_obs.json) seed the repository's
-// perf trajectory: future PRs diff their per-stage timings and kernel
-// throughput histograms against it.
+// registry, for diffing the per-stage timings and kernel throughput
+// histograms of two runs.
 type RunReport struct {
 	// Command and Args identify the invocation ("table", ["-n", "9"]).
 	Command string   `json:"command"`

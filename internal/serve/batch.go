@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/features"
 	"repro/internal/obs"
@@ -15,13 +14,12 @@ import (
 )
 
 // The batch prediction endpoint: one request carrying many MatrixMarket
-// bodies, fanned out over the shared obs worker pool so parsing,
-// feature extraction and inference parallelise across items. The whole
-// batch is answered by one resolved model (a hot-swap mid-request
-// never splits a batch across two model versions), holds one
-// concurrency slot (the obs pool's global worker cap bounds the actual
-// CPU fan-out), and each item hits the same content-hash LRU as the
-// single-matrix endpoint.
+// bodies, answered in order on the request goroutine, each item through
+// the same predictBody path (feature memo included) as the
+// single-matrix endpoint. The whole batch is answered by one resolved
+// model (a hot-swap mid-request never splits a batch across two model
+// versions) and holds one concurrency slot; a panic in one item
+// reaches net/http's recover like a single request's would.
 
 // batchRequest is the JSON body of /v1/predict/batch. The endpoint
 // also accepts a text/plain body: concatenated MatrixMarket files,
@@ -147,28 +145,24 @@ func (s *Server) predictBatch(ctx context.Context, r *http.Request) (any, error)
 
 	cand, shadowed := s.backend.Shadow(lm.Arch)
 	results := make([]batchItem, n)
-	var itemErrs atomic.Int64
-	obs.ParallelChunks(n, obs.Workers(n), func(w, lo, hi int) {
-		// One feature-extraction scratch and one pooled parse scratch
-		// per worker: a batch performs a handful of buffer allocations
-		// instead of several per matrix.
-		var scratch features.Scratch
-		ps := sparse.GetParseScratch()
-		defer sparse.PutParseScratch(ps)
-		for i := lo; i < hi; i++ {
-			// Each item gets its own span; ctx carries the request's
-			// trace ID, so every item in the fan-out is attributable to
-			// the parent X-Request-ID.
-			ictx, span := obs.StartChild(ctx, "serve/batch/item")
-			span.SetMetric("index", float64(i))
-			results[i] = s.predictBatchItem(ictx, lm, cand, shadowed, &scratch, ps, items[i], i)
-			if results[i].Error != "" {
-				itemErrs.Add(1)
-			}
-			span.End()
+	errs := 0
+	// One feature-extraction scratch and one pooled parse scratch for
+	// the whole batch: a handful of buffer allocations instead of
+	// several per matrix.
+	var scratch features.Scratch
+	ps := sparse.GetParseScratch()
+	defer sparse.PutParseScratch(ps)
+	for i, item := range items {
+		// Each item gets its own span; ctx carries the request's trace
+		// ID, so every item is attributable to the parent X-Request-ID.
+		ictx, span := obs.StartChild(ctx, "serve/batch/item")
+		span.SetMetric("index", float64(i))
+		results[i] = s.predictBatchItem(ictx, lm, cand, shadowed, &scratch, ps, item, i)
+		if results[i].Error != "" {
+			errs++
 		}
-	})
-	errs := int(itemErrs.Load())
+		span.End()
+	}
 	s.batchErrors.Add(int64(errs))
 	preds := make([]string, n)
 	for i := range results {

@@ -273,7 +273,7 @@ func TestBatchTraceIDPropagation(t *testing.T) {
 	batch := bytes.Join([][]byte{mm, mm, mm, mm}, nil)
 	predictWithID(t, h, "/v1/predict/batch", traceID, batch)
 
-	// Every per-item span of the fan-out must carry the parent request's
+	// Every per-item span of the batch must carry the parent request's
 	// trace ID, or batch items are unattributable in the span store. The
 	// items hang off the request's root span (the always-on trace tree),
 	// so walk the whole forest.

@@ -5,11 +5,15 @@
 #
 #   (no argument)  vet + build + race-enabled tests + the suite again
 #                  at -cpu 1,2 (so assertions that only arm with more
-#                  than one worker always run) + internal/classify and
-#                  internal/serve again at -cpu 1,2,4 -count=3 (the
+#                  than one worker always run) + internal/classify,
+#                  internal/serve, internal/proxy, internal/registry
+#                  and internal/obs again at -cpu 1,2,4 -count=3 (the
 #                  forest's parallel fan-out and its bit-identity to
 #                  the per-node-sort reference; the batch loop and the
-#                  serve caches at 4 workers) + the race-free
+#                  serve caches at 4 workers; hedging, stitching and the
+#                  shared request envelope; registry hot-swap, drift
+#                  and quality windows; the trace store and metrics
+#                  under repetition) + the race-free
 #                  allocation guards (pooled parse scratch, feature-memo
 #                  hits) + the obs disabled-path overhead benchmark +
 #                  four end-to-end serving smoke tests (single-model
@@ -66,8 +70,8 @@ go test -race ./...
 echo '== go test -cpu 1,2 ./...'
 go test -cpu 1,2 ./...
 
-echo '== go test -cpu 1,2,4 -count=3 ./internal/classify ./internal/serve'
-go test -cpu 1,2,4 -count=3 ./internal/classify ./internal/serve
+echo '== go test -cpu 1,2,4 -count=3 ./internal/classify ./internal/serve ./internal/proxy ./internal/registry ./internal/obs'
+go test -cpu 1,2,4 -count=3 ./internal/classify ./internal/serve ./internal/proxy ./internal/registry ./internal/obs
 
 echo '== allocation guards (AllocsPerRun needs a race-free binary)'
 go test -run Allocs -count=1 ./internal/sparse ./internal/serve

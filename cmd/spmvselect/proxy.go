@@ -51,9 +51,7 @@ func cmdProxy(args []string) error {
 	healthInterval := fs.Duration("health-interval", time.Second, "spacing of the /readyz probes")
 	maxBackoff := fs.Duration("max-backoff", 15*time.Second, "cap on the readmit-probe backoff for ejected replicas")
 	adminToken := fs.String("admin-token", "", "bearer token required by the proxy's own /v1/admin/trace endpoints (unset disables them)")
-	traceCap := fs.Int("trace", 0, "tail-sampled trace store capacity in entries (0 = 128, negative disables tracing)")
-	traceSlow := fs.Duration("trace-slow", 0, "latency above which a proxied request is kept as slow (0 = 250ms, negative disables)")
-	traceSample := fs.Int("trace-sample", 0, "keep 1-in-N otherwise-uninteresting traces (0 = 100, negative disables sampling)")
+	traceCap, traceSlow, traceSample := traceFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -152,6 +152,14 @@ func parseArchModels(flagName, spec string) ([]archPath, error) {
 	return pairs, nil
 }
 
+// traceFlags declares the request-tracing flags serve and proxy share.
+func traceFlags(fs *flag.FlagSet) (capacity *int, slow *time.Duration, sample *int) {
+	capacity = fs.Int("trace", 0, "tail-sampled trace store capacity in entries (0 = 128, negative disables tracing)")
+	slow = fs.Duration("trace-slow", 0, "latency above which a request is kept as slow by the trace store, and by serve always access-logged (0 = 250ms, negative disables the static threshold)")
+	sample = fs.Int("trace-sample", 0, "keep 1-in-N otherwise-uninteresting traces (0 = 100, negative disables sampling)")
+	return capacity, slow, sample
+}
+
 // cmdServe hosts saved models over HTTP behind the registry until
 // SIGTERM or interrupt, then drains in-flight requests and exits.
 // SIGHUP (or an authenticated POST /v1/admin/reload) re-reads every
@@ -173,9 +181,7 @@ func cmdServe(args []string) error {
 	accessLog := fs.String("access-log", "", `write one JSON access-log line per request here ("-" for stderr)`)
 	logSample := fs.Int("access-log-sample", 0, "log only 1-in-N requests (errors, feedback and slow requests are always logged; 0/1 = log everything)")
 	sloTarget := fs.Float64("slo-target", 0, "availability objective for the SLO windows and burn rates (default 0.999)")
-	traceCap := fs.Int("trace", 0, "tail-sampled trace store capacity in entries (0 = 128, negative disables tracing)")
-	traceSlow := fs.Duration("trace-slow", 0, "latency above which a request is kept as slow by the trace store and always access-logged (0 = 250ms, negative disables the static threshold)")
-	traceSample := fs.Int("trace-sample", 0, "keep 1-in-N otherwise-uninteresting traces (0 = 100, negative disables sampling)")
+	traceCap, traceSlow, traceSample := traceFlags(fs)
 	debugDir := fs.String("debug-dir", "", "write burn-triggered debug captures (CPU profile + trace snapshot) into this directory")
 	burnThreshold := fs.Float64("burn-threshold", 0, "sustained 5m SLO burn rate that triggers a debug capture into -debug-dir (0 disables)")
 	recordDir := fs.String("record", "", "capture every prediction request (body + routing metadata) to rotating files in this directory, for `spmvselect replay`")

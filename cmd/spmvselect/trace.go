@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // fetchedTrace decodes both answer shapes: a replica's obs.TraceEntry
@@ -59,10 +60,7 @@ func cmdTrace(args []string) error {
 		return err
 	}
 	if *id == "" {
-		var list struct {
-			Count  int                `json:"count"`
-			Traces []obs.TraceSummary `json:"traces"`
-		}
+		var list serve.TraceList
 		if err := json.Unmarshal(body, &list); err != nil {
 			return fmt.Errorf("trace: parsing list: %w", err)
 		}
@@ -114,9 +112,7 @@ func fetchAdminJSON(addr, path, token string, timeout time.Duration) ([]byte, er
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
+		var e serve.ErrorResponse
 		if json.Unmarshal(body, &e) == nil && e.Error != "" {
 			return nil, fmt.Errorf("trace: %s: %s", resp.Status, e.Error)
 		}

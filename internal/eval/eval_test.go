@@ -3,6 +3,8 @@ package eval
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"runtime"
 	"strings"
 	"testing"
@@ -444,10 +446,17 @@ func renderComputedTables(t *testing.T, env *Env, opt Options) string {
 	return buf.String()
 }
 
+// quickTablesDigest is the sha256 of Tables 3-8 at QuickOptions as
+// renderComputedTables renders them. A changed digest means changed
+// paper output; update it only in a change that means to alter the
+// tables, and say so.
+const quickTablesDigest = "07e1589e726408dac610989e928c2b86459053bfe9dcd280c8fb817abcf285ae"
+
 // TestTablesDeterministicAcrossWorkers is the scheduler's contract: the
 // rendered tables are byte-identical whether the CV cells run strictly
 // sequentially (worker cap 1), fanned out over 8 workers, or at the
-// default worker count. GOMAXPROCS is raised so the 8-worker pass
+// default worker count — and they are the tables recorded in
+// quickTablesDigest. GOMAXPROCS is raised so the 8-worker pass
 // exercises real goroutine interleaving even on a single-CPU host.
 func TestTablesDeterministicAcrossWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
@@ -472,6 +481,9 @@ func TestTablesDeterministicAcrossWorkers(t *testing.T) {
 	defOut := renderComputedTables(t, env, opt) // Workers == 0: default
 	if defOut != parOut {
 		t.Fatalf("tables differ between default workers and workers=8:\n--- default ---\n%s\n--- parallel ---\n%s", defOut, parOut)
+	}
+	if sum := sha256.Sum256([]byte(parOut)); hex.EncodeToString(sum[:]) != quickTablesDigest {
+		t.Fatalf("Tables 3-8 digest %x, recorded %s: the paper output changed:\n%s", sum, quickTablesDigest, parOut)
 	}
 }
 

@@ -2,8 +2,9 @@
 // goroutine-safe metrics registry (counters, gauges, fixed-bucket
 // histograms with snapshot and merge), hierarchical span tracing that
 // captures wall time, heap-allocation deltas and goroutine counts, a
-// pluggable span sink (text tree or streaming JSON lines), an
-// expvar/pprof debug endpoint, and a machine-readable JSON run-report.
+// pluggable span sink (the in-memory collector behind the run-report,
+// rendered as a text tree), an expvar/pprof debug endpoint, and a
+// machine-readable JSON run-report.
 //
 // The package is stdlib-only and sits below every other internal
 // package, so the sparse kernels, the feature extractor, the clustering

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -195,31 +194,6 @@ func TestTimerRecordsWhenEnabled(t *testing.T) {
 	h, ok := s.Histograms["unit/test/seconds"]
 	if !ok || h.Count != 1 {
 		t.Fatalf("timer histogram missing or empty: %+v", s.Histograms)
-	}
-}
-
-func TestJSONLSinkStreamsSpans(t *testing.T) {
-	var buf bytes.Buffer
-	SetSink(NewJSONLSink(&buf))
-	t.Cleanup(func() { SetSink(nil); Default.Reset() })
-	ctx, root := Start(context.Background(), "a")
-	_, ch := Start(ctx, "b")
-	ch.End()
-	root.End()
-	sc := bufio.NewScanner(&buf)
-	var lines []SpanData
-	for sc.Scan() {
-		var sd SpanData
-		if err := json.Unmarshal(sc.Bytes(), &sd); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
-		}
-		lines = append(lines, sd)
-	}
-	if len(lines) != 2 || lines[0].Path != "a/b" || lines[1].Path != "a" {
-		t.Fatalf("lines = %+v", lines)
-	}
-	if lines[1].Children != nil {
-		t.Error("JSONL line carried children")
 	}
 }
 

@@ -91,6 +91,7 @@ const (
 	KeepHedged    = "hedged"
 	KeepFailover  = "failover"
 	KeepRequested = "requested"
+	KeepPanic     = "panic"
 )
 
 // NewTraceStore builds a store from cfg, applying defaults.
@@ -179,13 +180,13 @@ func (ts *TraceStore) Offer(root *SpanData, status int, forced ...string) bool {
 }
 
 // keepRank orders entries for eviction: sampled-only traces go first,
-// then force-kept ones (requested/hedged/...), and slow/error traces
-// survive longest.
+// then force-kept ones (requested/hedged/...), and slow/error/panic
+// traces survive longest.
 func keepRank(reasons []string) int {
 	rank := 0
 	for _, r := range reasons {
 		switch r {
-		case KeepSlow, KeepError:
+		case KeepSlow, KeepError, KeepPanic:
 			return 2
 		case KeepSampled:
 		default:

@@ -3,14 +3,11 @@ package proxy
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
 	"crypto/sha256"
-	"crypto/subtle"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -20,6 +17,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/registry"
+	"repro/internal/serve"
 )
 
 // Config tunes the fleet front door. The zero value (plus Replicas)
@@ -43,13 +41,6 @@ type Config struct {
 	// MaxBackoff caps the readmit-probe backoff for ejected replicas
 	// (default 15s).
 	MaxBackoff time.Duration
-	// MaxBodyBytes bounds the request body the proxy will buffer for
-	// hedging (default 64 MiB, matching serve).
-	MaxBodyBytes int64
-	// PendingFeedback bounds the request-ID -> replica table that
-	// routes /v1/feedback to the replica that answered the prediction
-	// (default 8192 entries, FIFO eviction).
-	PendingFeedback int
 	// AdminToken gates the proxy's own admin surface (/v1/admin/trace).
 	// Empty disables it; the replica fan-out endpoints are unaffected —
 	// they forward the client's Authorization to the replicas, which
@@ -69,6 +60,11 @@ type Config struct {
 	Client *http.Client
 }
 
+// pendingFeedback bounds the request-ID -> replica table that routes
+// /v1/feedback to the replica that answered the prediction (FIFO
+// eviction).
+const pendingFeedback = 8192
+
 func (c Config) withDefaults() Config {
 	if c.Vnodes <= 0 {
 		c.Vnodes = defaultVnodes
@@ -84,12 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 15 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
-	}
-	if c.PendingFeedback <= 0 {
-		c.PendingFeedback = 8192
 	}
 	return c
 }
@@ -145,7 +135,7 @@ type Proxy struct {
 	order    []string // fleet in configured order, for stable listings
 	client   *http.Client
 	routes   *routeTable
-	traces   *obs.TraceStore // nil when TraceCapacity < 0
+	env      serve.Envelope // admin gate for the trace API, retained traces
 	started  time.Time
 
 	requests  *obs.Counter
@@ -184,7 +174,7 @@ func New(cfg Config) (*Proxy, error) {
 		ring:     NewRing(cfg.Vnodes),
 		replicas: map[string]*replica{},
 		client:   client,
-		routes:   newRouteTable(cfg.PendingFeedback),
+		routes:   newRouteTable(pendingFeedback),
 		started:  time.Now(),
 
 		requests:  obs.Default.Counter("proxy/requests"),
@@ -202,14 +192,11 @@ func New(cfg Config) (*Proxy, error) {
 		replicaHealthy: obs.Default.GaugeVec("proxy/replica/healthy", "replica"),
 		replicaEject:   obs.Default.CounterVec("proxy/replica/ejections", "replica"),
 	}
-	if cfg.TraceCapacity >= 0 {
-		p.traces = obs.NewTraceStore(obs.TraceConfig{
-			Capacity:      cfg.TraceCapacity,
-			SlowThreshold: cfg.SlowRequest,
-			SampleEvery:   cfg.TraceSample,
-			Metrics:       obs.Default,
-			Prefix:        "proxy/trace",
-		})
+	p.env = serve.Envelope{
+		Tier:   "proxy",
+		Realm:  "spmvselect proxy admin",
+		Token:  cfg.AdminToken,
+		Traces: serve.NewTraceStore("proxy/trace", cfg.TraceCapacity, cfg.SlowRequest, cfg.TraceSample, nil),
 	}
 	for _, addr := range cfg.Replicas {
 		if addr == "" {
@@ -277,7 +264,7 @@ func (p *Proxy) Fleet() FleetStatus {
 func (p *Proxy) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		st := p.Fleet()
@@ -285,10 +272,10 @@ func (p *Proxy) Handler() http.Handler {
 		if !st.Ready {
 			status = http.StatusServiceUnavailable
 		}
-		writeJSON(w, status, st)
+		serve.WriteJSON(w, status, st)
 	})
 	mux.HandleFunc("/v1/fleet", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, p.Fleet())
+		serve.WriteJSON(w, http.StatusOK, p.Fleet())
 	})
 	mux.Handle("/metrics", obs.PromHandler(obs.Default))
 	mux.HandleFunc("/v1/model", p.handleByArch)
@@ -299,8 +286,11 @@ func (p *Proxy) Handler() http.Handler {
 	mux.HandleFunc("/v1/admin/slo", p.handleFanout)
 	mux.HandleFunc("/v1/admin/quality", p.handleFanout)
 	mux.HandleFunc("/v1/admin/shadow", p.handleFanout)
-	mux.HandleFunc("/v1/admin/trace", p.adminOnly(p.handleTraceList))
-	mux.HandleFunc("/v1/admin/trace/", p.adminOnly(p.handleTraceGet))
+	// Traces are the proxy's own state, so the proxy holds their gate;
+	// the fan-outs above forward the client's Authorization instead.
+	traces := p.env.Admin(http.MethodGet, p.env.TraceAPI(p.stitch))
+	mux.HandleFunc("/v1/admin/trace", traces)
+	mux.HandleFunc("/v1/admin/trace/", traces)
 	return mux
 }
 
@@ -316,30 +306,9 @@ func (p *Proxy) Run(ctx context.Context, addr string, ready func(bound string)) 
 	defer hcancel()
 	go p.healthLoop(hctx)
 
-	ln, err := net.Listen("tcp", addr)
+	err := serve.RunHTTP(ctx, addr, p.Handler(), p.cfg.Timeout, p.cfg.Timeout+p.cfg.HedgeAfter, ready)
 	if err != nil {
-		return fmt.Errorf("proxy: listening on %s: %w", addr, err)
-	}
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-	srv := &http.Server{
-		Handler:           p.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       p.cfg.Timeout,
-		WriteTimeout:      p.cfg.Timeout + p.cfg.HedgeAfter,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
 		return fmt.Errorf("proxy: %w", err)
-	case <-ctx.Done():
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("proxy: shutdown: %w", err)
 	}
 	return nil
 }
@@ -361,21 +330,6 @@ type attemptResult struct {
 	err error
 }
 
-// maxTraceIDLen bounds an attacker-supplied X-Request-ID, matching the
-// serve tier's bound.
-const maxTraceIDLen = 128
-
-// newTraceID mints a 16-hex-digit random trace ID (the proxy mints the
-// fleet-wide request ID when the client did not supply one, so every
-// hop — proxy spans, replica spans, logs — shares the same key).
-func newTraceID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "rand-unavailable"
-	}
-	return hex.EncodeToString(b[:])
-}
-
 // handlePredict routes one prediction request: consistent-hash on the
 // body content (the identity the replica feature memo keys on),
 // forward to the ring owner, hedge onto the next distinct replica when
@@ -388,16 +342,11 @@ func newTraceID() string {
 func (p *Proxy) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "use POST"})
+		serve.WriteJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "use POST"})
 		return
 	}
 	p.requests.Inc()
-	trace := r.Header.Get("X-Request-ID")
-	if trace == "" {
-		trace = newTraceID()
-	} else if len(trace) > maxTraceIDLen {
-		trace = trace[:maxTraceIDLen]
-	}
+	trace := serve.RequestID(r)
 	// Write the (possibly minted) ID back onto the request so every
 	// attempt forwards it and the replicas adopt it as their trace ID.
 	r.Header.Set("X-Request-ID", trace)
@@ -406,7 +355,7 @@ func (p *Proxy) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 	ctx := obs.WithTraceID(r.Context(), trace)
 	var root *obs.Span
-	if p.traces != nil {
+	if p.env.Traces != nil {
 		ctx, root = obs.StartAlways(ctx, r.URL.Path)
 	}
 	r = r.WithContext(ctx)
@@ -415,7 +364,7 @@ func (p *Proxy) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		if root != nil {
 			root.SetMetric("status", http.StatusBadRequest)
-			p.traces.Offer(root.EndData(), http.StatusBadRequest)
+			p.env.Traces.Offer(root.EndData(), http.StatusBadRequest)
 		}
 		return // readBody already answered
 	}
@@ -425,7 +374,7 @@ func (p *Proxy) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if ferr != nil {
 		p.errors.Inc()
 		status = http.StatusBadGateway
-		writeJSON(w, status, errorBody{Error: "fleet: " + ferr.Error()})
+		serve.WriteJSON(w, status, serve.ErrorResponse{Error: "fleet: " + ferr.Error()})
 	} else {
 		if res.status >= 500 {
 			p.errors.Inc()
@@ -451,7 +400,7 @@ func (p *Proxy) handlePredict(w http.ResponseWriter, r *http.Request) {
 			if r.Header.Get(obs.TraceKeepHeader) != "" {
 				forced = append(forced, obs.KeepRequested)
 			}
-			p.traces.Offer(sd, status, forced...)
+			p.env.Traces.Offer(sd, status, forced...)
 		}
 	}
 }
@@ -465,7 +414,7 @@ func (p *Proxy) handleByArch(w http.ResponseWriter, r *http.Request) {
 	res, _, ferr := p.forward(r, nil, key, true)
 	if ferr != nil {
 		p.errors.Inc()
-		writeJSON(w, http.StatusBadGateway, errorBody{Error: "fleet: " + ferr.Error()})
+		serve.WriteJSON(w, http.StatusBadGateway, serve.ErrorResponse{Error: "fleet: " + ferr.Error()})
 		return
 	}
 	if res.status >= 500 {
@@ -481,7 +430,7 @@ func (p *Proxy) handleByArch(w http.ResponseWriter, r *http.Request) {
 func (p *Proxy) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "use POST"})
+		serve.WriteJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "use POST"})
 		return
 	}
 	p.requests.Inc()
@@ -493,13 +442,13 @@ func (p *Proxy) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		RequestID string `json:"request_id"`
 	}
 	if err := json.Unmarshal(body, &ref); err != nil || ref.RequestID == "" {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "feedback needs a request_id"})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "feedback needs a request_id"})
 		return
 	}
 	addr, ok := p.routes.get(ref.RequestID)
 	if !ok {
-		writeJSON(w, http.StatusNotFound,
-			errorBody{Error: "unknown request_id (prediction not served through this proxy, or evicted)"})
+		serve.WriteJSON(w, http.StatusNotFound,
+			serve.ErrorResponse{Error: "unknown request_id (prediction not served through this proxy, or evicted)"})
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), p.cfg.Timeout)
@@ -507,7 +456,7 @@ func (p *Proxy) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	res := p.attempt(ctx, r, addr, body, false)
 	if res.err != nil {
 		p.errors.Inc()
-		writeJSON(w, http.StatusBadGateway, errorBody{Error: res.err.Error()})
+		serve.WriteJSON(w, http.StatusBadGateway, serve.ErrorResponse{Error: res.err.Error()})
 		return
 	}
 	if res.status >= 500 {
@@ -680,7 +629,7 @@ func (p *Proxy) attempt(ctx context.Context, r *http.Request, addr string, body 
 		return attemptResult{proxied: proxied{addr: addr, hedged: hedged}, err: err}
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, p.cfg.MaxBodyBytes+1))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, serve.DefaultMaxBodyBytes+1))
 	if err != nil {
 		p.replicaErrs.With(addr).Inc()
 		return attemptResult{proxied: proxied{addr: addr, hedged: hedged}, err: err}
@@ -713,14 +662,14 @@ func (p *Proxy) copyResponse(w http.ResponseWriter, res proxied) {
 // readBody buffers the (bounded) request body; hedging needs a
 // replayable copy. A nil return means the response is already written.
 func (p *Proxy) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, p.cfg.MaxBodyBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, serve.DefaultMaxBodyBytes+1))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "reading request body: " + err.Error()})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "reading request body: " + err.Error()})
 		return nil, err
 	}
-	if int64(len(body)) > p.cfg.MaxBodyBytes {
-		err := fmt.Errorf("request body exceeds %d bytes", p.cfg.MaxBodyBytes)
-		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: err.Error()})
+	if int64(len(body)) > serve.DefaultMaxBodyBytes {
+		err := fmt.Errorf("request body exceeds %d bytes", serve.DefaultMaxBodyBytes)
+		serve.WriteJSON(w, http.StatusRequestEntityTooLarge, serve.ErrorResponse{Error: err.Error()})
 		return nil, err
 	}
 	return body, nil
@@ -741,61 +690,6 @@ func routeKey(body []byte, arch string) string {
 // Trace admin API: the proxy's own retained traces, with replica span
 // trees stitched in on fetch.
 
-// adminOnly gates a proxy-admin handler behind the proxy's own token
-// (the fan-out endpoints forward the client's Authorization to the
-// replicas instead; traces are the proxy's own state, so the proxy
-// holds the gate).
-func (p *Proxy) adminOnly(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "use GET"})
-			return
-		}
-		if !p.authorized(r) {
-			w.Header().Set("WWW-Authenticate", `Bearer realm="spmvselect proxy admin"`)
-			msg := "invalid admin token"
-			if p.cfg.AdminToken == "" {
-				msg = "admin API disabled: start the proxy with -admin-token"
-			}
-			writeJSON(w, http.StatusUnauthorized, errorBody{Error: msg})
-			return
-		}
-		h(w, r)
-	}
-}
-
-// authorized reports whether r carries the proxy's admin token,
-// constant-time over SHA-256 digests like the serve tier.
-func (p *Proxy) authorized(r *http.Request) bool {
-	if p.cfg.AdminToken == "" {
-		return false
-	}
-	got := strings.TrimPrefix(r.Header.Get("Authorization"), "Bearer ")
-	a := sha256.Sum256([]byte(got))
-	b := sha256.Sum256([]byte(p.cfg.AdminToken))
-	return subtle.ConstantTimeCompare(a[:], b[:]) == 1
-}
-
-// traceListResponse is the /v1/admin/trace list answer.
-type traceListResponse struct {
-	Count  int                `json:"count"`
-	Traces []obs.TraceSummary `json:"traces"`
-}
-
-func (p *Proxy) handleTraceList(w http.ResponseWriter, r *http.Request) {
-	if p.traces == nil {
-		writeJSON(w, http.StatusNotImplemented,
-			errorBody{Error: "tracing disabled on this proxy (-trace -1)"})
-		return
-	}
-	list := p.traces.List()
-	if list == nil {
-		list = []obs.TraceSummary{}
-	}
-	writeJSON(w, http.StatusOK, traceListResponse{Count: len(list), Traces: list})
-}
-
 // stitchedTrace is the /v1/admin/trace/<id> answer: the proxy's own
 // span tree for the request with each replica's retained tree grafted
 // under the attempt span that reached it. Field names match
@@ -812,45 +706,16 @@ type stitchedTrace struct {
 	StitchedFrom []string `json:"stitched_from,omitempty"`
 }
 
-// handleTraceGet fetches one retained trace by request ID and stitches
-// in the replica-side trees: for every attempt/<addr> child span the
-// proxy asks that replica's /v1/admin/trace/<id>, forwarding the
-// client's Authorization (the replicas hold their own admin tokens),
-// and grafts the returned root under the attempt span. Cross-hop
-// stitching is best-effort — a replica that sampled the trace out or
-// is down just leaves its attempt span childless.
-func (p *Proxy) handleTraceGet(w http.ResponseWriter, r *http.Request) {
-	if p.traces == nil {
-		writeJSON(w, http.StatusNotImplemented,
-			errorBody{Error: "tracing disabled on this proxy (-trace -1)"})
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/v1/admin/trace/")
-	if id == "" {
-		p.handleTraceList(w, r)
-		return
-	}
-	e := p.traces.Get(id)
-	if e == nil {
-		writeJSON(w, http.StatusNotFound,
-			errorBody{Error: "no retained trace with ID " + id + " (evicted, sampled out, or never seen)"})
-		return
-	}
-	root, from := p.stitch(r, e)
-	writeJSON(w, http.StatusOK, stitchedTrace{
-		TraceID:      e.TraceID,
-		Root:         root,
-		Reasons:      e.Reasons,
-		Status:       e.Status,
-		At:           e.At,
-		StitchedFrom: from,
-	})
-}
-
-// stitch returns a copy of e's tree with replica trees grafted under
-// the attempt spans. The stored tree is never mutated — only the nodes
-// on the modified path are cloned.
-func (p *Proxy) stitch(r *http.Request, e *obs.TraceEntry) (*obs.SpanData, []string) {
+// stitch renders one retained trace for /v1/admin/trace/<id>, with
+// the replica-side trees grafted in: for every attempt/<addr> child
+// span the proxy asks that replica's /v1/admin/trace/<id>, forwarding
+// the client's Authorization (the replicas hold their own admin
+// tokens), and grafts the returned root under the attempt span.
+// Cross-hop stitching is best-effort — a replica that sampled the
+// trace out or is down just leaves its attempt span childless. The
+// stored tree is never mutated — only the nodes on the modified path
+// are cloned.
+func (p *Proxy) stitch(r *http.Request, e *obs.TraceEntry) any {
 	root := *e.Root
 	root.Children = append([]*obs.SpanData(nil), e.Root.Children...)
 	var from []string
@@ -868,7 +733,14 @@ func (p *Proxy) stitch(r *http.Request, e *obs.TraceEntry) (*obs.SpanData, []str
 		root.Children[i] = &cc
 		from = append(from, addr)
 	}
-	return &root, from
+	return stitchedTrace{
+		TraceID:      e.TraceID,
+		Root:         &root,
+		Reasons:      e.Reasons,
+		Status:       e.Status,
+		At:           e.At,
+		StitchedFrom: from,
+	}
 }
 
 // fetchReplicaTrace asks one replica for its retained span tree of
@@ -892,7 +764,7 @@ func (p *Proxy) fetchReplicaTrace(r *http.Request, addr, id string) *obs.SpanDat
 		return nil
 	}
 	var e obs.TraceEntry
-	if err := json.NewDecoder(io.LimitReader(resp.Body, p.cfg.MaxBodyBytes)).Decode(&e); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, serve.DefaultMaxBodyBytes)).Decode(&e); err != nil {
 		return nil
 	}
 	return e.Root
@@ -918,7 +790,7 @@ type fanoutResponse struct {
 func (p *Proxy) handleFanout(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "use GET"})
+		serve.WriteJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "use GET"})
 		return
 	}
 	p.requests.Inc()
@@ -966,13 +838,13 @@ func (p *Proxy) handleFanout(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(out.Replicas) == 0 && len(out.Failed) > 0 {
-		writeJSON(w, http.StatusBadGateway, out)
+		serve.WriteJSON(w, http.StatusBadGateway, out)
 		return
 	}
 	if worst == http.StatusOK {
 		out.Fleet = p.summarize(r.URL.Path, out.Replicas)
 	}
-	writeJSON(w, worst, out)
+	serve.WriteJSON(w, worst, out)
 }
 
 // fleetSLOWindow is one aggregated SLO window: request and error
@@ -1125,20 +997,4 @@ func copyHeader(dst, src http.Header, names ...string) {
 			dst.Set(k, v)
 		}
 	}
-}
-
-// errorBody mirrors serve's JSON error shape.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	data, err := json.Marshal(v)
-	if err != nil {
-		fmt.Fprintf(w, `{"error":%q}`, err.Error())
-		return
-	}
-	w.Write(append(data, '\n'))
 }

@@ -12,16 +12,15 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/features"
 	"repro/internal/gpusim"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/sparse"
 )
 
-// TestProxyAnswersEqualDirectPredictions: three real serve replicas of
-// one trained artifact behind the proxy. Every proxied single-matrix
-// answer and every proxied batch item must equal what the artifact
-// itself predicts for that matrix — routing, hedging and the hop must
-// never change an answer.
-func TestProxyAnswersEqualDirectPredictions(t *testing.T) {
+// trainedArtifact fits a small tree classifier on Turing labels, the
+// model the real-replica tests serve.
+func trainedArtifact(t *testing.T) *serve.Artifact {
+	t.Helper()
 	train, err := dataset.Generate(dataset.Config{Seed: 1, BaseCount: 40, Scale: 0.3, DropELLFailures: true})
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +39,16 @@ func TestProxyAnswersEqualDirectPredictions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return art
+}
 
+// TestProxyAnswersEqualDirectPredictions: three real serve replicas of
+// one trained artifact behind the proxy. Every proxied single-matrix
+// answer and every proxied batch item must equal what the artifact
+// itself predicts for that matrix — routing, hedging and the hop must
+// never change an answer.
+func TestProxyAnswersEqualDirectPredictions(t *testing.T) {
+	art := trainedArtifact(t)
 	var addrs []string
 	for i := 0; i < 3; i++ {
 		srv, err := serve.NewServer(art, serve.Config{})
@@ -95,7 +103,7 @@ func TestProxyAnswersEqualDirectPredictions(t *testing.T) {
 		}
 	}
 	if len(owners) < 2 {
-		t.Errorf("%d matrices all landed on one replica of %d", len(reqs), len(addrs))
+		t.Errorf("%d matrices all landed on one replica of %d; fleet %+v", len(reqs), len(addrs), p.Fleet())
 	}
 
 	// Text-form batches of four, so the batches hash to several owners.
@@ -123,5 +131,115 @@ func TestProxyAnswersEqualDirectPredictions(t *testing.T) {
 				t.Errorf("%s: proxied batch item %+v, artifact predicts %+v", reqs[lo+k].Name, r.Prediction, want[lo+k])
 			}
 		}
+	}
+}
+
+// TestProxyAndReplicaShareOneRequestID: the proxy and a real serve
+// replica run the same request-ID envelope. An over-long X-Request-ID
+// is clipped once, to 128 bytes, and that one ID keys the proxy's
+// answer, the replica's retained trace and the proxy's stitched trace;
+// a request without an ID gets one minted by the proxy, which the
+// replica adopts.
+func TestProxyAndReplicaShareOneRequestID(t *testing.T) {
+	defer obs.Default.Reset()
+	art := trainedArtifact(t)
+	srv, err := serve.NewServer(art, serve.Config{AdminToken: "tok", TraceSample: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica := httptest.NewServer(srv.Handler())
+	t.Cleanup(replica.Close)
+	p, err := New(Config{
+		Replicas:    []string{strings.TrimPrefix(replica.URL, "http://")},
+		AdminToken:  "tok",
+		TraceSample: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.CheckAll(context.Background())
+	h := p.Handler()
+	reqs, err := dataset.Generate(dataset.Config{Seed: 7, BaseCount: 1, Scale: 0.3, DropELLFailures: true})
+	if err != nil || len(reqs) == 0 {
+		t.Fatalf("generating a request matrix: %v", err)
+	}
+	var body bytes.Buffer
+	if err := sparse.WriteMatrixMarket(&body, reqs[0].Matrix); err != nil {
+		t.Fatal(err)
+	}
+
+	// predict posts the matrix through the proxy, force-keeping its
+	// trace on both hops, and returns the answer's X-Request-ID.
+	predict := func(id string) string {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/v1/predict/matrix", bytes.NewReader(body.Bytes()))
+		if id != "" {
+			req.Header.Set("X-Request-ID", id)
+		}
+		req.Header.Set(obs.TraceKeepHeader, "1")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("proxied predict: %d %s", rec.Code, rec.Body.String())
+		}
+		return rec.Header().Get("X-Request-ID")
+	}
+	// replicaTrace fetches the replica's own retained trace for id.
+	replicaTrace := func(id string) obs.TraceEntry {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, replica.URL+"/v1/admin/trace/"+id, nil)
+		req.Header.Set("Authorization", "Bearer tok")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e obs.TraceEntry
+		if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&e) != nil {
+			t.Fatalf("replica trace %q: status %d", id, resp.StatusCode)
+		}
+		return e
+	}
+
+	long := strings.Repeat("r", 200)
+	clipped := long[:128]
+	if got := predict(long); got != clipped {
+		t.Fatalf("proxy answered X-Request-ID of %d bytes, want the 128-byte clip", len(got))
+	}
+	if e := replicaTrace(clipped); e.TraceID != clipped || e.Root == nil || e.Root.TraceID != clipped {
+		t.Fatalf("replica retained trace %q (root %+v), want the clipped ID", e.TraceID, e.Root)
+	}
+	rec := adminGet(h, "/v1/admin/trace/"+clipped, "tok")
+	var st stitchedTrace
+	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &st) != nil {
+		t.Fatalf("stitched trace: %d %s", rec.Code, rec.Body.String())
+	}
+	if st.TraceID != clipped || len(st.StitchedFrom) != 1 {
+		t.Fatalf("stitched trace %q from %v, want the clipped ID from the one replica", st.TraceID, st.StitchedFrom)
+	}
+	grafted := 0
+	for _, c := range st.Root.Children {
+		for _, g := range c.Children {
+			if g.Root {
+				grafted++
+				if g.TraceID != clipped {
+					t.Errorf("grafted replica tree has trace ID %q, want the clipped ID", g.TraceID)
+				}
+			}
+		}
+	}
+	if grafted != 1 {
+		t.Fatalf("stitched trace grafted %d replica trees, want 1", grafted)
+	}
+
+	minted := predict("")
+	if len(minted) != 16 {
+		t.Fatalf("proxy minted X-Request-ID %q, want 16 hex digits", minted)
+	}
+	if p.env.Traces.Get(minted) == nil {
+		t.Fatalf("proxy retained no trace under its minted ID %q", minted)
+	}
+	if e := replicaTrace(minted); e.TraceID != minted {
+		t.Fatalf("replica traced the request as %q, want the proxy's minted %q", e.TraceID, minted)
 	}
 }

@@ -374,9 +374,7 @@ func adminJSON(ctx context.Context, cfg RolloutConfig, method, u string, body []
 		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		var eb struct {
-			Error string `json:"error"`
-		}
+		var eb serve.ErrorResponse
 		if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
 			return fmt.Errorf("status %d: %s", resp.StatusCode, eb.Error)
 		}

@@ -36,7 +36,7 @@ func newFakeAdminReplica(agree, disagree int64) *fakeAdminReplica {
 	auth := func(h http.HandlerFunc) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			if r.Header.Get("Authorization") != "Bearer tok" {
-				writeJSON(w, http.StatusUnauthorized, errorBody{Error: "invalid admin token"})
+				serve.WriteJSON(w, http.StatusUnauthorized, serve.ErrorResponse{Error: "invalid admin token"})
 				return
 			}
 			h(w, r)
@@ -49,7 +49,7 @@ func newFakeAdminReplica(agree, disagree int64) *fakeAdminReplica {
 		f.shadowHash = serve.HashBytes(data)
 		hash := f.shadowHash
 		f.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]string{"arch": "turing", "hash": hash})
+		serve.WriteJSON(w, http.StatusOK, map[string]string{"arch": "turing", "hash": hash})
 	}))
 	mux.HandleFunc("/v1/admin/shadow", auth(func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
@@ -67,24 +67,24 @@ func newFakeAdminReplica(agree, disagree int64) *fakeAdminReplica {
 			rep.Arches = append(rep.Arches, ar)
 			rep.Scored, rep.Disagree = scored, f.disagree
 		}
-		writeJSON(w, http.StatusOK, rep)
+		serve.WriteJSON(w, http.StatusOK, rep)
 	}))
 	mux.HandleFunc("/v1/admin/promote", auth(func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
 		if f.shadowHash == "" {
-			writeJSON(w, http.StatusConflict, errorBody{Error: "no shadow candidate"})
+			serve.WriteJSON(w, http.StatusConflict, serve.ErrorResponse{Error: "no shadow candidate"})
 			return
 		}
 		f.liveHash = f.shadowHash
 		f.shadowHash = ""
 		f.promotes++
-		writeJSON(w, http.StatusOK, map[string]string{"arch": "turing", "hash": f.liveHash})
+		serve.WriteJSON(w, http.StatusOK, map[string]string{"arch": "turing", "hash": f.liveHash})
 	}))
 	mux.HandleFunc("/v1/model", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]string{"hash": f.liveHash})
+		serve.WriteJSON(w, http.StatusOK, map[string]string{"hash": f.liveHash})
 	})
 	f.srv = httptest.NewServer(mux)
 	return f
@@ -184,7 +184,7 @@ func TestRolloutDetectsCorruptPush(t *testing.T) {
 	good := newFakeAdminReplica(20, 0)
 	t.Cleanup(good.srv.Close)
 	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"arch": "turing", "hash": "0000000000000000"})
+		serve.WriteJSON(w, http.StatusOK, map[string]string{"arch": "turing", "hash": "0000000000000000"})
 	}))
 	t.Cleanup(liar.Close)
 	path, _ := writeCandidate(t)

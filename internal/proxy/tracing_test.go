@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // adminGet fetches a proxy-admin path with an optional bearer token.
@@ -59,7 +60,7 @@ func TestProxyHedgedTraceStitched(t *testing.T) {
 
 	// Hedged requests are force-kept — no sampling, no slow threshold
 	// needed.
-	e := p.traces.Get("stitch-me")
+	e := p.env.Traces.Get("stitch-me")
 	if e == nil {
 		t.Fatal("hedged request not retained")
 	}
@@ -136,7 +137,7 @@ func TestProxyHedgedTraceStitched(t *testing.T) {
 
 	// The list view includes the entry.
 	rec = adminGet(h, "/v1/admin/trace", "ptok")
-	var list traceListResponse
+	var list serve.TraceList
 	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestProxyTraceRequestedKeep(t *testing.T) {
 		t.Fatalf("predict: %d %s", rec.Code, rec.Body.String())
 	}
 
-	e := p.traces.Get("keep-hop")
+	e := p.env.Traces.Get("keep-hop")
 	if e == nil {
 		t.Fatal("requested trace not retained")
 	}

@@ -28,41 +28,19 @@ import (
 //	registry/drift/alert{arch}        gauge  1 when any signal's PSI >= threshold
 //	registry/drift/samples{arch}      gauge  format-window fill
 
-// DriftOptions tunes the monitor. The zero value selects defaults.
-type DriftOptions struct {
-	// WindowSize is the per-signal rolling-window capacity (default 512
-	// observations).
-	WindowSize int
-	// PSIAlert is the PSI at or above which a signal alerts (default
-	// 0.2 — the conventional "significant shift, investigate" bar; 0.1
-	// is the conventional "moderate" bar).
-	PSIAlert float64
-	// MinSamples is the minimum window fill before a signal may alert,
-	// keeping near-empty windows from paging anyone (default 50).
-	MinSamples int
-}
-
-func (o DriftOptions) withDefaults() DriftOptions {
-	if o.WindowSize <= 0 {
-		o.WindowSize = 512
-	}
-	if o.PSIAlert <= 0 {
-		o.PSIAlert = 0.2
-	}
-	if o.MinSamples <= 0 {
-		o.MinSamples = 50
-	}
-	return o
-}
-
-// SetDriftOptions replaces the monitor tuning. Existing per-arch
-// windows are rebuilt empty on the next baseline install; call it
-// before LoadAll.
-func (r *Registry) SetDriftOptions(o DriftOptions) {
-	r.mu.Lock()
-	r.driftOpts = o.withDefaults()
-	r.mu.Unlock()
-}
+// The monitor's tuning.
+const (
+	// driftWindow is the per-signal rolling-window capacity, in
+	// observations.
+	driftWindow = 512
+	// driftPSIAlert is the PSI at or above which a signal alerts: the
+	// conventional "significant shift, investigate" bar (0.1 is the
+	// conventional "moderate" bar).
+	driftPSIAlert = 0.2
+	// driftMinSamples is the minimum window fill before a signal may
+	// alert, keeping near-empty windows from paging anyone.
+	driftMinSamples = 50
+)
 
 // ringCounts is a fixed-capacity rolling histogram: a ring of bucket
 // indices plus running per-bucket counts, so adding evicts the oldest
@@ -114,14 +92,13 @@ func (r *Registry) installDriftLocked(arch string, art *serve.Artifact) {
 		delete(r.drift, arch)
 		return
 	}
-	opts := r.driftOpts.withDefaults()
 	b := art.Baseline
 	st := &driftState{
 		baseline: b,
-		formats:  newRingCounts(len(b.FormatCounts), opts.WindowSize),
+		formats:  newRingCounts(len(b.FormatCounts), driftWindow),
 	}
 	for _, fb := range b.Features {
-		st.feats = append(st.feats, newRingCounts(len(fb.Counts), opts.WindowSize))
+		st.feats = append(st.feats, newRingCounts(len(fb.Counts), driftWindow))
 	}
 	r.drift[arch] = st
 }
@@ -227,11 +204,10 @@ var (
 // gauges (serve.DriftBackend; the /metrics handler calls it per
 // scrape).
 func (r *Registry) DriftReport() any {
-	opts := r.driftOpts.withDefaults()
 	report := DriftReportData{
-		WindowSize: opts.WindowSize,
-		PSIAlert:   opts.PSIAlert,
-		MinSamples: opts.MinSamples,
+		WindowSize: driftWindow,
+		PSIAlert:   driftPSIAlert,
+		MinSamples: driftMinSamples,
 		Arches:     []ArchDriftReport{},
 	}
 
@@ -262,14 +238,14 @@ func (r *Registry) DriftReport() any {
 		psi, chi2 := psiChi2(as.st.baseline.FormatCounts, as.st.formats.counts)
 		signals = append(signals, DriftSignal{
 			Signal: "format", Samples: as.st.formats.total, PSI: psi, Chi2: chi2,
-			Alert: psi >= opts.PSIAlert && as.st.formats.total >= int64(opts.MinSamples),
+			Alert: psi >= driftPSIAlert && as.st.formats.total >= driftMinSamples,
 		})
 		for i, fb := range as.st.baseline.Features {
 			w := as.st.feats[i]
 			p, c := psiChi2(fb.Counts, w.counts)
 			signals = append(signals, DriftSignal{
 				Signal: fb.Name, Samples: w.total, PSI: p, Chi2: c,
-				Alert: p >= opts.PSIAlert && w.total >= int64(opts.MinSamples),
+				Alert: p >= driftPSIAlert && w.total >= driftMinSamples,
 			})
 		}
 		formatSamples := as.st.formats.total

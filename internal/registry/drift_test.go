@@ -102,7 +102,6 @@ func TestDriftAlertsOnSkewedStream(t *testing.T) {
 	dir := t.TempDir()
 	path := saveBaselineArtifact(t, dir, "turing.gob")
 	r := New()
-	r.SetDriftOptions(DriftOptions{WindowSize: 256, PSIAlert: 0.2, MinSamples: 50})
 	if err := r.Configure("turing", path); err != nil {
 		t.Fatal(err)
 	}
@@ -117,15 +116,15 @@ func TestDriftAlertsOnSkewedStream(t *testing.T) {
 
 	// Phase 1: replay the training distribution — labels proportional to
 	// the baseline counts, features drawn from each baseline bucket in
-	// proportion. PSI over the same distribution must stay far below the
-	// alert bar.
+	// proportion, about 0.8 of a window. PSI over the same distribution
+	// must stay far below the alert bar.
 	var total int64
 	for _, c := range base.FormatCounts {
 		total += c
 	}
 	var stream []int
 	for label, c := range base.FormatCounts {
-		n := int(200 * float64(c) / float64(total))
+		n := int(0.8 * driftWindow * float64(c) / float64(total))
 		for i := 0; i < n; i++ {
 			stream = append(stream, label)
 		}
@@ -140,12 +139,13 @@ func TestDriftAlertsOnSkewedStream(t *testing.T) {
 	}
 
 	// Phase 2: skew — every answer is label 0 and every feature sits far
-	// beyond the training range (overflow buckets).
+	// beyond the training range (overflow buckets), enough of them to
+	// push every training-like observation out of the window.
 	huge := make([]float64, features.Count)
 	for i := range huge {
 		huge[i] = 1e18
 	}
-	for i := 0; i < 300; i++ {
+	for i := 0; i < driftWindow+driftWindow/6; i++ {
 		r.RecordServed("turing", serve.Prediction{Label: 0}, huge)
 	}
 	rep = r.DriftReport().(DriftReportData)

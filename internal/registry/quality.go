@@ -29,29 +29,8 @@ import (
 //	registry/quality/samples{arch}                 gauge    full outcomes in the window
 //	registry/quality/confusion{arch,predicted,best} gauge   window predicted-vs-best counts
 
-// QualityOptions tunes the quality windows. The zero value selects
-// defaults.
-type QualityOptions struct {
-	// WindowSize is the per-arch rolling-window capacity (default 512
-	// outcomes).
-	WindowSize int
-}
-
-func (o QualityOptions) withDefaults() QualityOptions {
-	if o.WindowSize <= 0 {
-		o.WindowSize = 512
-	}
-	return o
-}
-
-// SetQualityOptions replaces the quality-window tuning. Existing
-// windows are rebuilt empty on the next live swap; call it before
-// LoadAll.
-func (r *Registry) SetQualityOptions(o QualityOptions) {
-	r.mu.Lock()
-	r.qualityOpts = o.withDefaults()
-	r.mu.Unlock()
-}
+// qualityWindow is the per-arch rolling-window capacity, in outcomes.
+const qualityWindow = 512
 
 // outcomeRec is one windowed outcome.
 type outcomeRec struct {
@@ -128,10 +107,9 @@ func (q *qualityState) evictLocked(old outcomeRec) {
 // every live swap — reload and promote — so the window only ever
 // tallies outcomes of the model currently serving.
 func (r *Registry) installQualityLocked(arch string, art *serve.Artifact) {
-	opts := r.qualityOpts.withDefaults()
 	r.quality[arch] = &qualityState{
 		formats: art.Formats,
-		ring:    make([]outcomeRec, opts.WindowSize),
+		ring:    make([]outcomeRec, qualityWindow),
 	}
 }
 
@@ -215,8 +193,7 @@ type QualityReportData struct {
 // the quality gauges (serve.QualityBackend; the /metrics handler calls
 // it per scrape).
 func (r *Registry) QualityReport() any {
-	opts := r.qualityOpts.withDefaults()
-	report := QualityReportData{WindowSize: opts.WindowSize, Arches: []ArchQualityReport{}}
+	report := QualityReportData{WindowSize: qualityWindow, Arches: []ArchQualityReport{}}
 
 	r.mu.RLock()
 	type archState struct {

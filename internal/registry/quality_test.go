@@ -92,35 +92,21 @@ func TestQualityWindowAccuracyRegretConfusion(t *testing.T) {
 
 func TestQualityWindowEvictionAndSwapReset(t *testing.T) {
 	r := loadedRegistry(t)
-	r.SetQualityOptions(QualityOptions{WindowSize: 4})
-	// Options apply on the next install — force one by promoting a
-	// shadow onto the arch.
-	dir := t.TempDir()
-	cand := saveArtifact(t, dir, "cand.gob", 6, 2)
-	if err := r.ConfigureShadow("turing", cand); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.LoadAll(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Promote("turing"); err != nil {
-		t.Fatal(err)
-	}
 
-	// Fill past the window: 6 outcomes into 4 slots. The two oldest
-	// (misses) evict, leaving 4 hits → accuracy 1.0.
+	// Fill past the window: window+2 outcomes. The two oldest (misses)
+	// evict, leaving a window of hits → accuracy 1.0.
 	for i := 0; i < 2; i++ {
 		r.RecordOutcome("turing", fullOutcome(0, 1, 3.0))
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < qualityWindow; i++ {
 		r.RecordOutcome("turing", fullOutcome(1, 1, 1.0))
 	}
 	ar := r.QualityReport().(QualityReportData).Arches[0]
-	if ar.Samples != 4 || ar.Accuracy != 1.0 {
-		t.Fatalf("windowed samples %d accuracy %v, want 4 / 1.0", ar.Samples, ar.Accuracy)
+	if ar.Samples != qualityWindow || ar.Accuracy != 1.0 {
+		t.Fatalf("windowed samples %d accuracy %v, want %d / 1.0", ar.Samples, ar.Accuracy, qualityWindow)
 	}
-	if ar.Accepted != 6 {
-		t.Fatalf("accepted = %d, want 6 (eviction must not shrink the cumulative count)", ar.Accepted)
+	if ar.Accepted != qualityWindow+2 {
+		t.Fatalf("accepted = %d, want %d (eviction must not shrink the cumulative count)", ar.Accepted, qualityWindow+2)
 	}
 	if ar.Confusion[0][1] != 0 {
 		t.Fatalf("evicted outcomes still in the confusion grid: %v", ar.Confusion)

@@ -64,13 +64,11 @@ type Registry struct {
 	shadow map[string]*slot
 	stats  map[string]*ShadowStats
 	// drift holds the per-arch drift monitor for live artifacts that
-	// carry a training baseline; driftOpts tunes it.
-	drift     map[string]*driftState
-	driftOpts DriftOptions
+	// carry a training baseline.
+	drift map[string]*driftState
 	// quality holds the per-arch measured-outcome window for live
-	// artifacts (fed by /v1/feedback); qualityOpts tunes it.
-	quality     map[string]*qualityState
-	qualityOpts QualityOptions
+	// artifacts (fed by /v1/feedback).
+	quality map[string]*qualityState
 
 	swaps      *obs.Counter
 	reloads    *obs.Counter

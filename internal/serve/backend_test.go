@@ -6,11 +6,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/classify"
 	"repro/internal/core"
+	"repro/internal/features"
+	"repro/internal/obs"
 	"repro/internal/sparse"
 )
 
@@ -181,6 +185,71 @@ func TestMemoHitAfterSwapAnswersFromNewModel(t *testing.T) {
 	}
 	if out["cached"] != true || out["model_hash"] != "hash-b" || out["format"] != wantB.Format {
 		t.Fatalf("post-swap request = %v, want memo hit answered by hash-b (%s)", out, wantB.Format)
+	}
+}
+
+// poisoned is a classifier with a bug confined to one input: on the
+// poison feature vector it predicts through a nil model and panics;
+// every other vector answers label 1.
+type poisoned struct{ poison []float64 }
+
+func (p poisoned) Fit([][]float64, []int, int) error { return nil }
+
+func (p poisoned) Predict(x []float64) int {
+	if slices.Equal(x, p.poison) {
+		var nilModel *classify.Tree
+		return nilModel.Predict(x)
+	}
+	return 1
+}
+
+// TestBatchItemPanicIsThatItemsError: a panic answering one batch item
+// becomes that item's error — counted in serve/batch/item_errors, with
+// the request's trace force-kept — while the other items still get
+// their answers.
+func TestBatchItemPanicIsThatItemsError(t *testing.T) {
+	defer obs.Default.Reset()
+	ms, _ := labelledCorpus(t, "Turing")
+	art := &Artifact{
+		Kind:       KindClassifier,
+		Classifier: "poisoned",
+		Formats:    KernelFormatNames(),
+		Clf:        poisoned{poison: features.Extract(ms[1]).Slice()},
+	}
+	fb := newFakeBackend("turing")
+	fb.set("turing", art, "hash-p")
+	srv, err := NewBackendServer(fb, Config{TraceSample: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(batchRequest{Matrices: []string{
+		string(mmBytes(t, ms[0])), string(mmBytes(t, ms[1])), string(mmBytes(t, ms[2])),
+	}})
+	itemErrors := srv.batchErrors.Value()
+	req := httptest.NewRequest(http.MethodPost, "/v1/predict/batch", bytes.NewReader(body))
+	req.Header.Set("X-Request-ID", "batch-panic")
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch with a panicking item: %d %s", rec.Code, rec.Body.String())
+	}
+	var resp batchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	want := KernelFormatNames()[1]
+	if resp.Count != 3 || resp.Errors != 1 || resp.Results[0].Format != want || resp.Results[2].Format != want {
+		t.Fatalf("batch response = %+v, want items 0 and 2 answered %s and one error", resp, want)
+	}
+	if r := resp.Results[1]; r.Format != "" || !strings.Contains(r.Error, "nil pointer") {
+		t.Fatalf("panicking item = %+v, want its panic as the error", r)
+	}
+	if got := srv.batchErrors.Value() - itemErrors; got != 1 {
+		t.Errorf("serve/batch/item_errors rose by %d, want 1", got)
+	}
+	e := srv.env.Traces.Get("batch-panic")
+	if e == nil || !slices.Contains(e.Reasons, obs.KeepPanic) {
+		t.Fatalf("trace of the batch = %+v, want it kept for %q", e, obs.KeepPanic)
 	}
 }
 

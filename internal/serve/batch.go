@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -18,8 +19,9 @@ import (
 // the same predictBody path (feature memo included) as the
 // single-matrix endpoint. The whole batch is answered by one resolved
 // model (a hot-swap mid-request never splits a batch across two model
-// versions) and holds one concurrency slot; a panic in one item
-// reaches net/http's recover like a single request's would.
+// versions) and holds one concurrency slot. A panic answering one item
+// is recovered into that item's error, so the other items still get
+// their answers.
 
 // batchRequest is the JSON body of /v1/predict/batch. The endpoint
 // also accepts a text/plain body: concatenated MatrixMarket files,
@@ -81,8 +83,15 @@ type batchResponse struct {
 
 // predictBatchItem answers one batch position: the shared predictBody
 // path plus the per-item feedback registration (batch item i of
-// request ID reports as "ID#i").
-func (s *Server) predictBatchItem(ctx context.Context, lm, cand LiveModel, shadowed bool, scratch *features.Scratch, ps *sparse.ParseScratch, item []byte, i int) batchItem {
+// request ID reports as "ID#i"). A panic becomes the item's error and
+// force-keeps the request's trace.
+func (s *Server) predictBatchItem(ctx context.Context, lm, cand LiveModel, shadowed bool, scratch *features.Scratch, ps *sparse.ParseScratch, item []byte, i int) (res batchItem) {
+	defer func() {
+		if p := recover(); p != nil {
+			notePanic(ctx)
+			res = batchItem{Error: fmt.Sprintf("internal error: %v", p)}
+		}
+	}()
 	if err := ctx.Err(); err != nil {
 		return batchItem{Error: "request cancelled: " + err.Error()}
 	}

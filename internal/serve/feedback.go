@@ -28,10 +28,10 @@ import (
 // and at most a handful of format times; anything bigger is abuse.
 const maxFeedbackBody = 4 << 10
 
-// defaultPendingFeedback is the consume-once table's capacity when
-// Config.PendingFeedback is zero: how many recent predictions remain
-// joinable against late-arriving feedback before the oldest fall out.
-const defaultPendingFeedback = 4096
+// pendingFeedback is the consume-once table's capacity: how many recent
+// predictions remain joinable against late-arriving feedback before
+// the oldest fall out.
+const pendingFeedback = 4096
 
 // pendingPred is what the server remembers about one served
 // prediction while it waits for feedback.
@@ -61,9 +61,6 @@ type pendingStore struct {
 }
 
 func newPendingStore(capacity int) *pendingStore {
-	if capacity <= 0 {
-		capacity = defaultPendingFeedback
-	}
 	return &pendingStore{
 		m:    make(map[string]pendingPred, capacity),
 		ring: make([]string, capacity),
@@ -167,13 +164,13 @@ type feedbackResponse struct {
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
+		WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "use POST"})
 		return
 	}
 	if s.quality == nil {
 		s.feedbackRejected.Inc()
-		writeJSON(w, http.StatusNotImplemented,
-			errorResponse{Error: "this backend keeps no quality windows; serve from the registry (-models)"})
+		WriteJSON(w, http.StatusNotImplemented,
+			ErrorResponse{Error: "this server hosts a static model; quality windows need a registry backend"})
 		return
 	}
 	resp, err := s.feedback(r)
@@ -184,7 +181,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.feedbackAccepted.Inc()
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // feedback validates one report, joins it against the pending
@@ -299,9 +296,9 @@ func containsFormat(formats []string, f string) bool {
 // 501 when the backend keeps no quality windows (static servers).
 func (s *Server) adminQuality(w http.ResponseWriter, r *http.Request) {
 	if s.quality == nil {
-		writeJSON(w, http.StatusNotImplemented,
-			errorResponse{Error: "this backend keeps no quality windows; serve from the registry (-models)"})
+		WriteJSON(w, http.StatusNotImplemented,
+			ErrorResponse{Error: "this server hosts a static model; quality windows need a registry backend"})
 		return
 	}
-	writeJSON(w, http.StatusOK, s.quality.QualityReport())
+	WriteJSON(w, http.StatusOK, s.quality.QualityReport())
 }

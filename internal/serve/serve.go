@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"runtime"
 	"sync/atomic"
@@ -36,8 +35,8 @@ type Config struct {
 	// Timeout bounds one request end to end, including time spent
 	// queueing for a concurrency slot (default 30s).
 	Timeout time.Duration
-	// MaxBodyBytes bounds the request body (default 64 MiB — a
-	// MatrixMarket body of several million nonzeros).
+	// MaxBodyBytes bounds the request body (default
+	// DefaultMaxBodyBytes, 64 MiB).
 	MaxBodyBytes int64
 	// MaxBatchItems bounds the matrix count of one /v1/predict/batch
 	// request (default 64).
@@ -61,10 +60,6 @@ type Config struct {
 	// prediction request (metadata header + verbatim body) for
 	// `spmvselect replay`.
 	Capture *obs.CaptureWriter
-	// PendingFeedback is the capacity of the consume-once table joining
-	// /v1/feedback reports to served predictions (default 4096). Only
-	// used when the backend implements QualityBackend.
-	PendingFeedback int
 	// TraceCapacity bounds the tail-sampled trace store behind
 	// /v1/admin/trace (default 128 retained traces; negative disables
 	// request tracing entirely).
@@ -98,7 +93,7 @@ func (c Config) withDefaults() Config {
 		c.Timeout = 30 * time.Second
 	}
 	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
+		c.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if c.MaxBatchItems <= 0 {
 		c.MaxBatchItems = 64
@@ -184,8 +179,8 @@ type Server struct {
 
 	slo       *obs.SLOWindows
 	accessLog *slog.Logger
-	logSeq    atomic.Int64 // access-log sampling counter
-	traces    *obs.TraceStore
+	logSeq    atomic.Int64  // access-log sampling counter
+	env       Envelope      // admin gate and retained traces
 	burn      *burnProfiler // nil unless DebugDir + BurnThreshold configured
 
 	requests     *obs.Counter
@@ -235,7 +230,7 @@ func NewBackendServer(b Backend, cfg Config) (*Server, error) {
 	installer, _ := b.(ShadowInstaller)
 	var pending *pendingStore
 	if quality != nil {
-		pending = newPendingStore(cfg.PendingFeedback)
+		pending = newPendingStore(pendingFeedback)
 	}
 	s := &Server{
 		backend:      b,
@@ -273,28 +268,24 @@ func NewBackendServer(b Backend, cfg Config) (*Server, error) {
 		feedbackAccepted: obs.Default.Counter("serve/feedback/accepted"),
 		feedbackRejected: obs.Default.Counter("serve/feedback/rejected"),
 	}
-	if cfg.TraceCapacity >= 0 {
-		// The dynamic slow threshold tracks the exported 5m p99 gauge,
-		// which refreshDerived keeps current on every /metrics scrape —
-		// reading a gauge per request instead of recomputing the window.
-		p99 := obs.Default.GaugeVec("slo/latency/seconds", "window", "quantile").With("5m", "p99")
-		s.traces = obs.NewTraceStore(obs.TraceConfig{
-			Capacity:      cfg.TraceCapacity,
-			SlowThreshold: cfg.SlowRequest,
-			SampleEvery:   cfg.TraceSample,
-			DynamicSlow: func() time.Duration {
-				return time.Duration(p99.Value() * float64(time.Second))
-			},
-			Metrics: obs.Default,
-			Prefix:  "serve/trace",
-		})
+	// The dynamic slow threshold tracks the exported 5m p99 gauge, which
+	// refreshDerived keeps current on every /metrics scrape — reading a
+	// gauge per request instead of recomputing the window.
+	p99 := obs.Default.GaugeVec("slo/latency/seconds", "window", "quantile").With("5m", "p99")
+	s.env = Envelope{
+		Tier:   "server",
+		Realm:  "spmvselect admin",
+		Token:  cfg.AdminToken,
+		Denied: s.adminDenied,
+		Traces: NewTraceStore("serve/trace", cfg.TraceCapacity, cfg.SlowRequest, cfg.TraceSample,
+			func() time.Duration { return time.Duration(p99.Value() * float64(time.Second)) }),
 	}
 	if cfg.DebugDir != "" && cfg.BurnThreshold > 0 {
 		s.burn = newBurnProfiler(burnConfig{
 			Dir:       cfg.DebugDir,
 			Threshold: cfg.BurnThreshold,
 			BurnRate:  s.burnRate5m,
-			Traces:    s.traces.Snapshot,
+			Traces:    s.env.Traces.Snapshot,
 			Log:       cfg.AccessLog,
 		})
 	}
@@ -356,11 +347,6 @@ type ReadyResponse struct {
 	Arches        []ArchStatus `json:"arches"`
 }
 
-// errorResponse is the JSON error body.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 // Handler returns the service's HTTP handler (its own mux, so tests can
 // drive it without a listener).
 func (s *Server) Handler() http.Handler {
@@ -369,7 +355,7 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc(pattern, s.instrument(pattern, h))
 	}
 	route("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	route("/readyz", s.handleReady)
 	route("/metrics", obs.PromHandler(obs.Default, s.refreshDerived).ServeHTTP)
@@ -385,8 +371,8 @@ func (s *Server) Handler() http.Handler {
 	route("/v1/admin/slo", s.adminEndpoint(http.MethodGet, false, s.adminSLO))
 	route("/v1/admin/drift", s.adminEndpoint(http.MethodGet, false, s.adminDrift))
 	route("/v1/admin/quality", s.adminEndpoint(http.MethodGet, false, s.adminQuality))
-	route("/v1/admin/trace", s.adminEndpoint(http.MethodGet, false, s.adminTraceList))
-	route("/v1/admin/trace/", s.adminEndpoint(http.MethodGet, false, s.adminTraceGet))
+	route("/v1/admin/trace", s.adminEndpoint(http.MethodGet, false, s.env.TraceAPI(nil)))
+	route("/v1/admin/trace/", s.adminEndpoint(http.MethodGet, false, s.env.TraceAPI(nil)))
 	return mux
 }
 
@@ -413,11 +399,11 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := s.backend.Ready(); err != nil {
 		resp.Error = err.Error()
-		writeJSON(w, http.StatusServiceUnavailable, resp)
+		WriteJSON(w, http.StatusServiceUnavailable, resp)
 		return
 	}
 	resp.Ready = true
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleModel describes the artifact serving ?arch= (default arch when
@@ -446,7 +432,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	if cand, ok := s.backend.Shadow(lm.Arch); ok {
 		resp.ShadowHash = cand.Hash
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // httpError carries a status code with the error.
@@ -487,7 +473,7 @@ func (s *Server) limited(h func(ctx context.Context, r *http.Request) (any, erro
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "use POST"})
+			WriteJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "use POST"})
 			return
 		}
 		s.requests.Inc()
@@ -507,8 +493,8 @@ func (s *Server) limited(h func(ctx context.Context, r *http.Request) (any, erro
 		case <-ctx.Done():
 			s.rejected.Inc()
 			s.errors.Inc()
-			writeJSON(w, http.StatusServiceUnavailable,
-				errorResponse{Error: "server at capacity, retry later"})
+			WriteJSON(w, http.StatusServiceUnavailable,
+				ErrorResponse{Error: "server at capacity, retry later"})
 			return
 		}
 		s.inflight.Add(1)
@@ -530,7 +516,7 @@ func (s *Server) limited(h func(ctx context.Context, r *http.Request) (any, erro
 		if info := reqInfoFrom(ctx); info != nil && info.modelHash != "" {
 			w.Header().Set("X-Model-Hash", info.modelHash)
 		}
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 	}
 }
 
@@ -722,37 +708,16 @@ func (s *Server) predictFeatures(ctx context.Context, r *http.Request) (any, err
 }
 
 // Run serves on addr until ctx is cancelled (SIGTERM in the CLI), then
-// shuts down gracefully, draining in-flight requests for up to 5
-// seconds. ready, when non-nil, receives the bound address once the
-// listener is up — how callers learn the port of ":0".
+// drains in-flight requests (RunHTTP). ready, when non-nil, receives
+// the bound address once the listener is up.
 func (s *Server) Run(ctx context.Context, addr string, ready func(bound string)) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("serve: listening on %s: %w", addr, err)
-	}
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-	srv := &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       s.cfg.Timeout,
-		WriteTimeout:      s.cfg.Timeout,
-	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	if s.burn != nil {
 		go s.burn.loop(ctx, 10*time.Second)
 	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
+	if err := RunHTTP(ctx, addr, s.Handler(), s.cfg.Timeout, s.cfg.Timeout, ready); err != nil {
 		return fmt.Errorf("serve: %w", err)
-	case <-ctx.Done():
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("serve: shutdown: %w", err)
 	}
 	return nil
 }
@@ -765,18 +730,5 @@ func writeError(w http.ResponseWriter, err error) {
 	if errors.As(err, &he) {
 		status = he.status
 	}
-	writeJSON(w, status, errorResponse{Error: err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	data, err := json.Marshal(v)
-	if err != nil {
-		// v is always one of our own response structs; this cannot
-		// happen for valid predictions, but never crash the handler.
-		fmt.Fprintf(w, `{"error":%q}`, err.Error())
-		return
-	}
-	w.Write(append(data, '\n'))
+	WriteJSON(w, status, ErrorResponse{Error: err.Error()})
 }

@@ -2,8 +2,6 @@ package serve
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -21,18 +19,16 @@ import (
 // slow request's log line to its spans and its effect on the SLO
 // windows.
 
-// maxTraceIDLen bounds an attacker-supplied X-Request-ID so a huge
-// header cannot bloat logs and span records.
-const maxTraceIDLen = 128
-
 // reqInfo is the per-request record the handlers fill in for the access
 // log: which arch answered, with which artifact, and whether the
-// features came from the memo. It travels by pointer in the request
-// context.
+// features came from the memo — plus whether a handler recovered from
+// a panic, which force-keeps the request's trace. It travels by
+// pointer in the request context.
 type reqInfo struct {
 	arch      string
 	modelHash string
 	cached    bool
+	panicked  bool
 }
 
 type reqInfoKey struct{}
@@ -61,16 +57,12 @@ func noteCached(ctx context.Context, cached bool) {
 	}
 }
 
-// newTraceID mints a 16-hex-digit random trace ID. On the (never
-// observed) chance the system randomness source fails, a constant
-// sentinel keeps requests flowing — tracing is diagnostics, not
-// authentication.
-func newTraceID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "rand-unavailable"
+// notePanic records that part of the request panicked and was
+// recovered (a batch item), so the request's trace is kept.
+func notePanic(ctx context.Context) {
+	if ri := reqInfoFrom(ctx); ri != nil {
+		ri.panicked = true
 	}
-	return hex.EncodeToString(b[:])
 }
 
 // logThis applies access-log sampling: with -access-log-sample N only
@@ -117,14 +109,9 @@ func (w *statusWriter) WriteHeader(status int) {
 // tree is worth keeping.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	inSLO := len(endpoint) >= 4 && endpoint[:4] == "/v1/"
-	traced := s.traces != nil && len(endpoint) >= 12 && endpoint[:12] == "/v1/predict/"
+	traced := s.env.Traces != nil && len(endpoint) >= 12 && endpoint[:12] == "/v1/predict/"
 	return func(w http.ResponseWriter, r *http.Request) {
-		trace := r.Header.Get("X-Request-ID")
-		if trace == "" {
-			trace = newTraceID()
-		} else if len(trace) > maxTraceIDLen {
-			trace = trace[:maxTraceIDLen]
-		}
+		trace := RequestID(r)
 		w.Header().Set("X-Request-ID", trace)
 
 		info := &reqInfo{}
@@ -160,7 +147,10 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 				if r.Header.Get(obs.TraceKeepHeader) != "" {
 					forced = append(forced, obs.KeepRequested)
 				}
-				s.traces.Offer(sd, sw.status, forced...)
+				if info.panicked {
+					forced = append(forced, obs.KeepPanic)
+				}
+				s.env.Traces.Offer(sd, sw.status, forced...)
 			}
 		}
 		if s.accessLog != nil && s.logThis(endpoint, sw.status, slow) {

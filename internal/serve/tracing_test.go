@@ -47,7 +47,7 @@ func TestTraceAdminEndpoints(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("trace list: %d %s", rec.Code, rec.Body.String())
 	}
-	var list traceListResponse
+	var list TraceList
 	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestTraceMemoThenMiss(t *testing.T) {
 	predictWithID(t, h, "/v1/predict/matrix", "second", mm)
 
 	for _, id := range []string{"first", "second"} {
-		if e := srv.traces.Get(id); e != nil {
+		if e := srv.env.Traces.Get(id); e != nil {
 			t.Fatalf("request %s unexpectedly retained: %v", id, e.Reasons)
 		}
 	}
